@@ -117,6 +117,11 @@ class ArrayCode:
         for (row, col), kind in kinds.items():
             self._check_pos(row, col)
             self._grid[row, col] = kind
+        # ``kind`` runs once per metered chunk on the request path: hand
+        # out precomputed members instead of constructing an Enum each call.
+        self._kinds: tuple[tuple[Cell, ...], ...] = tuple(
+            tuple(Cell(int(value)) for value in row) for row in self._grid
+        )
         self.chains: dict[Position, tuple[Position, ...]] = {}
         for parity, members in chains.items():
             self.chains[parity] = tuple(members)
@@ -179,7 +184,7 @@ class ArrayCode:
     def kind(self, row: int, col: int) -> Cell:
         """Return the role of the element at ``(row, col)``."""
         self._check_pos(row, col)
-        return Cell(int(self._grid[row, col]))
+        return self._kinds[row][col]
 
     @property
     def n(self) -> int:

@@ -580,9 +580,18 @@ class FaultyDiskBackend:
             raise LatentSectorError(disk, hit)
         return self._raw_read(disk, offset, length)
 
-    def write(self, disk: int, offset: int, data: bytes) -> None:
-        """Write a span; a successful write remaps covered bad sectors."""
-        lbas = self._lbas(offset, len(data))
+    def write(self, disk: int, offset: int, data: "bytes | list") -> None:
+        """Write a span; a successful write remaps covered bad sectors.
+
+        ``data`` is one buffer, or a list of buffers laid end to end
+        (the store's gather writes).
+        """
+        length = (
+            sum(memoryview(part).nbytes for part in data)
+            if isinstance(data, list)
+            else len(data)
+        )
+        lbas = self._lbas(offset, length)
         self._gate(disk, lbas, write=True)
         self._raw_write(disk, offset, data)
         self.plan.note_write(disk, lbas)

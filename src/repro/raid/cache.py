@@ -13,9 +13,9 @@ Design
 ------
 
 The cache operates over a narrow *backend* protocol — ``failed`` (a set
-of failed columns), ``read_element(stripe, pos)`` and
-``write_element(stripe, pos, chunk)`` — so one implementation serves two
-consumers:
+of failed columns), ``read_element(stripe, pos)``,
+``write_element(stripe, pos, chunk)`` and ``write_stripes(stripe,
+payload)`` — so one implementation serves two consumers:
 
 * :class:`repro.store.ArrayStore` is the real backend: element I/Os hit
   backing files and are metered by the store's ``IoCounters``;
@@ -99,6 +99,14 @@ class CacheBackend(Protocol):
         self, stripe: int, pos: Position, chunk: np.ndarray
     ) -> None:  # pragma: no cover - protocol
         """Write one element chunk."""
+        ...
+
+    def write_stripes(
+        self, stripe: int, payload: np.ndarray
+    ) -> None:  # pragma: no cover - protocol
+        """Overwrite whole consecutive stripes from their logical data
+        (at most ``WIDE_WRITE_STRIPES``): encode, write every stored
+        element of the surviving columns."""
         ...
 
 
@@ -244,9 +252,9 @@ class StripeCache:
             ``"delta"``-strategy planner is built when omitted.
 
     Aligned full-stripe overwrites bypass the cache (and invalidate any
-    cached state for that stripe): the uncached stripe path already
-    writes every stored element with zero pre-reads, which no amount of
-    coalescing can beat.
+    cached state for those stripes): the backend's wide whole-stripe
+    write already writes every stored element with zero pre-reads, which
+    no amount of coalescing can beat.
     """
 
     def __init__(
@@ -396,48 +404,56 @@ class StripeCache:
         """Absorb a byte-addressed write (any alignment) into the cache.
 
         Each per-stripe run either bypasses (aligned full-stripe
-        overwrite: re-encode and store directly, exactly the uncached
-        stripe path) or is cached: old chunks are pre-read once per miss
-        — the delta needs them anyway, and a partial head/tail splices
-        onto them for free — the data delta is folded into each dependent
+        overwrite: the longest run of them, up to ``WIDE_WRITE_STRIPES``,
+        goes to the backend as one wide write, exactly the uncached
+        path) or is cached: old chunks are pre-read once per miss — the
+        delta needs them anyway, and a partial head/tail splices onto
+        them for free — the data delta is folded into each dependent
         parity's accumulator, and the new contents are kept dirty.
         """
-        cursor = 0
-        for run in self.mapping.byte_runs(offset, buf.size):
-            payload = buf[cursor : cursor + run.nbytes]
-            # Lock per stripe-run, not per request: a multi-stripe write
-            # holds the cache only as long as one stripe's transition.
+        runs = self.mapping.byte_runs(offset, buf.size)
+        index = cursor = 0
+        while index < len(runs):
+            run = runs[index]
+            count = self.mapping.whole_stripes(run, buf.size - cursor)
+            # Lock per stripe-run (per wide write), not per request: a
+            # long write holds the cache only for one transition at a time.
             with self._lock:
-                self._price_raw_write(run)
-                if (
-                    run.length == self.code.num_data
-                    and not run.is_partial(self.chunk_bytes)
-                ):
-                    self._bypass_full_stripe(run, payload)
+                if count:
+                    nbytes = count * run.nbytes
+                    self._bypass_stripes(
+                        runs[index : index + count],
+                        buf[cursor : cursor + nbytes],
+                    )
                 else:
-                    self._absorb_run(run, payload)
-            cursor += run.nbytes
+                    count, nbytes = 1, run.nbytes
+                    self._price_raw_write(run)
+                    self._absorb_run(run, buf[cursor : cursor + nbytes])
+            index += count
+            cursor += nbytes
 
-    def _bypass_full_stripe(self, run: ChunkRun, payload: np.ndarray) -> None:
-        """Aligned whole-stripe overwrite: encode fresh, write through.
+    def _bypass_stripes(
+        self, runs: list[ChunkRun], payload: np.ndarray
+    ) -> None:
+        """Aligned whole-stripe overwrites: one wide write through.
 
-        Every element is replaced, so cached state for the stripe —
+        Every element is replaced, so cached state for the stripes —
         including unflushed parity deltas — is obsolete and dropped.
         """
-        self.invalidate(run.stripe)
-        code = self.code
-        grid = np.zeros(
-            (code.rows, code.cols, self.chunk_bytes), dtype=np.uint8
-        )
-        chunks = payload.reshape(code.num_data, self.chunk_bytes)
-        for index, (row, col) in enumerate(code.data_positions):
-            grid[row, col] = chunks[index]
-        code.encode(grid)
+        for run in runs:
+            self._price_raw_write(run)
+            self.invalidate(run.stripe)
+        self.backend.write_stripes(runs[0].stripe, payload)
         failed = set(self.backend.failed)
-        for pos in code.nonempty_positions:
-            if pos[1] not in failed:
-                self._write(run.stripe, pos, grid[pos[0], pos[1]])
-        self.stats.bypass_chunks += run.length
+        stored = [
+            pos for pos in self.code.nonempty_positions if pos[1] not in failed
+        ]
+        parity = sum(
+            1 for pos in stored if self.code.kind(*pos) == Cell.PARITY
+        )
+        self.stats.io.data_chunks_written += len(runs) * (len(stored) - parity)
+        self.stats.io.parity_chunks_written += len(runs) * parity
+        self.stats.bypass_chunks += len(runs) * self.code.num_data
 
     def _absorb_run(self, run: ChunkRun, payload: np.ndarray) -> None:
         state = self._touch(run.stripe)
@@ -621,7 +637,8 @@ class _RecordingBackend:
 
     failed: frozenset[int] = frozenset()
 
-    def __init__(self, chunk_bytes: int) -> None:
+    def __init__(self, code: ArrayCode, chunk_bytes: int) -> None:
+        self.code = code
         self.chunk_bytes = chunk_bytes
         self.log: list[tuple[int, Position, bool]] = []
 
@@ -635,6 +652,14 @@ class _RecordingBackend:
     ) -> None:
         """Log the write; nothing is stored."""
         self.log.append((stripe, pos, True))
+
+    def write_stripes(self, stripe: int, payload: np.ndarray) -> None:
+        """Log a wide write as the element writes it issues."""
+        count = payload.size // (self.code.num_data * self.chunk_bytes)
+        for index in range(stripe, stripe + count):
+            self.log.extend(
+                (index, pos, True) for pos in self.code.nonempty_positions
+            )
 
 
 class ShadowCache:
@@ -651,7 +676,7 @@ class ShadowCache:
     def __init__(
         self, code: ArrayCode, chunk_bytes: int, capacity_stripes: int
     ) -> None:
-        self._backend = _RecordingBackend(chunk_bytes)
+        self._backend = _RecordingBackend(code, chunk_bytes)
         self.cache = StripeCache(
             self._backend, code, chunk_bytes, capacity_stripes
         )

@@ -21,7 +21,9 @@ Triple-Star) touch more. Runs for which RMW would cost more element I/Os
 than the naive path — and all degraded writes — fall back to the
 **full-stripe path** (load, re-encode, store), i.e. reconstruct-write at
 stripe granularity. Selection reuses the RMW cost model of
-``repro.analysis.write_path``.
+``repro.analysis.write_path``. Aligned whole-stripe overwrites load
+nothing: :meth:`ArrayStore.write_stripes` encodes a run of them as one
+wide grid and writes each disk's span with one gather write.
 
 Every operation is metered: :attr:`ArrayStore.io` accumulates chunk
 reads/writes split by data/parity for the store's lifetime, and
@@ -49,7 +51,7 @@ from typing import TYPE_CHECKING, BinaryIO, Sequence
 import numpy as np
 
 from repro.codes.base import ArrayCode, Cell, Decoder
-from repro.raid.mapping import ChunkRun
+from repro.raid.mapping import WIDE_WRITE_STRIPES, ChunkRun
 from repro.raid.planner import BatchItem, RequestPlanner, RunPlan
 from repro.store.journal import JournalRecord, MemoryJournal, WriteJournal
 from repro.store.metering import IoCounters, SyscallCounters
@@ -71,8 +73,9 @@ WRITE_MODES = ("auto", "delta", "stripe")
 _MODE_TO_STRATEGY = {"auto": "delta", "delta": "delta-always", "stripe": "stripe"}
 
 #: Scatter-gather availability (Linux/BSD yes, some platforms no). The
-#: batched span path degrades to the single-call pread/joined-pwrite
-#: fallbacks — still one syscall per span — when vectored I/O is absent.
+#: batched span path and the wide whole-stripe write degrade to the
+#: single-call pread/joined-pwrite fallbacks — still one syscall per
+#: span — when vectored I/O is absent.
 _HAS_PREADV = hasattr(os, "preadv")
 _HAS_PWRITEV = hasattr(os, "pwritev")
 
@@ -260,6 +263,9 @@ class ArrayStore:
             )
             for c in range(code.cols)
         ]
+        #: Grid rows and columns of the data cells in logical order: the
+        #: fancy index that lays whole stripes of payload into a grid.
+        self._data_cells = tuple(np.array(code.data_positions).T)
         for disk in range(code.cols):
             path = self._disk_path(disk)
             if path.exists():
@@ -274,7 +280,10 @@ class ArrayStore:
                         f"a fresh directory"
                     )
             else:
-                path.write_bytes(b"\0" * self._disk_bytes)
+                # Sparse: a hole reads back as zeros, so a fresh disk
+                # costs no data writes.
+                with path.open("wb") as handle:
+                    handle.truncate(self._disk_bytes)
         recover = getattr(self.journal, "recover", None)
         if recover is not None and getattr(self.journal, "durable", False):
             # Replay-on-open: roll forward any write intents a previous
@@ -385,7 +394,14 @@ class ArrayStore:
             self.syscalls.reads += calls
         return b"".join(parts) if len(parts) > 1 else parts[0]
 
-    def _raw_write_span(self, disk: int, offset: int, data: bytes) -> None:
+    def _raw_write_span(
+        self, disk: int, offset: int, data: "bytes | list[np.ndarray]"
+    ) -> None:
+        """Write one span: ``data`` is one buffer, or a list of buffers
+        laid end to end that :meth:`_vector_write_span` gathers."""
+        if isinstance(data, list):
+            self._vector_write_span(disk, offset, data)
+            return
         fd = self._handle(disk).fileno()
         view = memoryview(data)
         cursor = offset
@@ -432,28 +448,39 @@ class ArrayStore:
             self.syscalls.vector_reads += calls
         return buf
 
-    def _vector_write_span(self, disk: int, offset: int, data: np.ndarray) -> None:
-        """Write one merged span with a single ``pwritev``.
+    def _vector_write_span(
+        self, disk: int, offset: int, parts: list[np.ndarray]
+    ) -> None:
+        """Write the buffers ``parts``, laid end to end, with one ``pwritev``.
 
-        The batch path folds deltas *in place* inside the span's
-        pre-read buffer, so write-back is always one contiguous slice
-        of that buffer — a single-iovec gather straight from the numpy
-        memory, no join copy. Platforms without ``pwritev`` fall back
-        to :meth:`_raw_write_span` (one write, plus the ``tobytes``
-        copy).
+        The batch path folds deltas *in place* inside a span's pre-read
+        buffer and passes one slice of it; the wide whole-stripe write
+        passes one view per chunk of its grid. Either way the kernel
+        gathers straight from numpy memory, with no join copy, and a
+        short write resumes mid-list. Platforms without ``pwritev`` fall
+        back to :meth:`_raw_write_span` (one write of the joined bytes).
         """
         if not _HAS_PWRITEV:
-            self._raw_write_span(disk, offset, data.tobytes())
+            self._raw_write_span(disk, offset, b"".join(parts))
             return
         fd = self._handle(disk).fileno()
-        view = memoryview(data)
+        remaining = sum(map(len, parts))  # 1-D uint8 buffers: len is bytes
         cursor = offset
         calls = 0
-        while view:
-            written = os.pwritev(fd, [view], cursor)
+        while True:
+            written = os.pwritev(fd, parts, cursor)
             calls += 1
-            view = view[written:]
+            remaining -= written
+            if not remaining:
+                break
+            if not written:
+                raise IOError(f"short write on disk {disk} at offset {offset}")
+            # Short write: resume after the bytes that landed.
             cursor += written
+            parts = [memoryview(part) for part in parts]
+            while written >= len(parts[0]):
+                written -= len(parts.pop(0))
+            parts[0] = parts[0][written:]
         with self._meter_lock:
             self.syscalls.vector_writes += calls
 
@@ -462,7 +489,9 @@ class ArrayStore:
             return self._backend.read(disk, offset, length)
         return self._raw_read_span(disk, offset, length)
 
-    def _write_span(self, disk: int, offset: int, data: bytes) -> None:
+    def _write_span(
+        self, disk: int, offset: int, data: "bytes | list[np.ndarray]"
+    ) -> None:
         if self._backend is not None:
             self._backend.write(disk, offset, data)
         else:
@@ -604,13 +633,10 @@ class ArrayStore:
         return wide
 
     def _store_stripe(
-        self,
-        stripe: int,
-        data: np.ndarray,
-        writable: frozenset[int] | set[int] = frozenset(),
+        self, stripe: int, data: np.ndarray, writable: frozenset[int]
     ) -> None:
-        """Write a stripe back; ``writable`` overrides the failed-column
-        skip for columns being rebuilt."""
+        """Rebuild's write-back of one stripe; ``writable`` overrides the
+        failed-column skip for the columns being rebuilt."""
         span = self.code.rows * self.chunk_bytes
         for col in range(self.code.cols):
             if col in self.failed and col not in writable:
@@ -798,24 +824,44 @@ class ArrayStore:
 
     def _execute_write(self, offset: int, buf: np.ndarray) -> None:
         failed_key = tuple(sorted(self.failed))
-        cursor = 0
-        for run in self.planner.mapping.byte_runs(offset, buf.size):
-            payload = buf[cursor : cursor + run.nbytes]
+        mapping = self.planner.mapping
+        runs = mapping.byte_runs(offset, buf.size)
+        index = cursor = 0
+        while index < len(runs):
+            run = runs[index]
             plan = self.planner.plan_write_run(
                 run.start,
                 run.length,
                 failed_key,
                 partial=run.is_partial(self.chunk_bytes),
             )
-            if plan.path == "delta":
-                self._delta_write_run(run, payload)
-                self.fast_path_writes += 1
-            else:
-                self._stripe_write_run(run, payload, plan)
-                self.slow_path_writes += 1
-            for watcher in tuple(self._write_watchers):
-                watcher.add(run.stripe)
-            cursor += run.nbytes
+            count = 1
+            if plan.path == "stripe" and not plan.reads:
+                # An aligned whole-stripe overwrite takes the whole
+                # stripes after it along, as one wide write.
+                count = mapping.whole_stripes(run, buf.size - cursor)
+            nbytes = count * run.nbytes
+            self._write_run(run, buf[cursor : cursor + nbytes], plan)
+            index += count
+            cursor += nbytes
+
+    def _write_run(self, run: ChunkRun, payload: np.ndarray, plan: RunPlan) -> None:
+        """Execute one per-stripe write run by its plan, and meter it.
+
+        A whole-stripe overwrite's ``payload`` may go on over the
+        following whole stripes: :meth:`write_stripes` takes them all.
+        """
+        if plan.path == "delta":
+            self._delta_write_run(run, payload)
+            self.fast_path_writes += 1
+        elif plan.reads:
+            self._stripe_write_run(run, payload, plan)
+            self.slow_path_writes += 1
+        else:
+            self.write_stripes(run.stripe, payload)  # meters itself
+            return
+        for watcher in tuple(self._write_watchers):
+            watcher.add(run.stripe)
 
     def _splice(
         self, run: ChunkRun, index: int, cursor: int, payload: np.ndarray,
@@ -887,47 +933,96 @@ class ArrayStore:
     def _stripe_write_run(
         self, run: ChunkRun, payload: np.ndarray, plan: RunPlan
     ) -> None:
-        """Full-stripe path: (load, reconstruct,) splice, re-encode, store.
+        """Full-stripe path: load, (reconstruct,) splice, re-encode, store.
 
-        An aligned whole-stripe overwrite (``plan.reads`` empty) builds
-        the stripe fresh — every data element is replaced, so nothing
-        old is needed and no pre-reads happen, matching the plan.
+        Aligned whole-stripe overwrites need nothing old and take
+        :meth:`write_stripes` instead.
         """
-        if plan.reads:
-            grid = self._load_stripe(run.stripe)
-            if plan.decode:
-                # Degraded write: reconstruct the stripe before updating
-                # so parity recomputation sees correct data.
-                self._current_decoder().decode_columns(grid)
-        else:
-            grid = np.zeros(
-                (self.code.rows, self.code.cols, self.chunk_bytes),
-                dtype=np.uint8,
-            )
+        grid = self._load_stripe(run.stripe)
+        if plan.decode:
+            # Degraded write: reconstruct the stripe before updating
+            # so parity recomputation sees correct data.
+            self._current_decoder().decode_columns(grid)
         cursor = 0
         for index in range(run.length):
             row, col = self.code.data_positions[run.start + index]
-            old = grid[row, col] if plan.reads else None
-            new, consumed = self._splice(run, index, cursor, payload, old)
+            new, consumed = self._splice(
+                run, index, cursor, payload, grid[row, col]
+            )
             cursor += consumed
             grid[row, col] = new
         self.code.encode(grid)
+        self._store_stripes(run.stripe, grid)
+
+    def write_stripes(self, stripe: int, payload: np.ndarray) -> None:
+        """Overwrite whole consecutive stripes from ``stripe`` (wide write).
+
+        ``payload`` holds the logical data of at most
+        :data:`~repro.raid.mapping.WIDE_WRITE_STRIPES` stripes. Every
+        data element is replaced, so nothing is read: the stripes are
+        laid into one wide grid, encoded by one :meth:`ArrayCode.encode`
+        call and stored by :meth:`_store_stripes`. Meters exactly what
+        as many single-stripe runs meter: chunk counters,
+        ``slow_path_writes`` and watched stripes. This is also the
+        write-back cache's full-stripe bypass (a
+        :class:`~repro.raid.cache.CacheBackend` method).
+        """
+        code, chunk = self.code, self.chunk_bytes
+        count, rest = divmod(payload.size, code.num_data * chunk)
+        if (
+            rest
+            or not 0 < count <= WIDE_WRITE_STRIPES
+            or not 0 <= stripe <= self.stripes - count
+        ):
+            raise ValueError(
+                f"payload must hold 1..{WIDE_WRITE_STRIPES} whole stripes "
+                f"inside the store"
+            )
+        grid = np.zeros((code.rows, code.cols, count * chunk), dtype=np.uint8)
+        grid.reshape(code.rows, code.cols, count, chunk)[self._data_cells] = (
+            payload.reshape(count, code.num_data, chunk).transpose(1, 0, 2)
+        )
+        code.encode(grid)
+        self._store_stripes(stripe, grid)
+        self.slow_path_writes += count
+        for watcher in tuple(self._write_watchers):
+            watcher.update(range(stripe, stripe + count))
+
+    def _store_stripes(self, first: int, grid: np.ndarray) -> None:
+        """Journal, then write, every surviving column of an encoded grid.
+
+        ``grid`` holds consecutive stripes from ``first`` in the wide
+        layout of :meth:`_load_stripe_batch`. The transaction has one
+        record per surviving disk span, and each surviving disk gets one
+        gather write over per-chunk views of the grid.
+        """
+        rows, cols, chunk = self.code.rows, self.code.cols, self.chunk_bytes
+        count = grid.shape[2] // chunk
+        by_stripe = grid.reshape(rows, cols, count, chunk)
+        offset = first * rows * chunk
+        survivors = [col for col in range(cols) if col not in self.failed]
         if self._journalling:
-            span = self.code.rows * self.chunk_bytes
-            for col in range(self.code.cols):
-                if col in self.failed:
-                    continue
+            for col in survivors:
+                data, parity = self._col_profile[col]
                 self.journal.log(
                     JournalRecord(
                         shard=self.shard_id,
                         disk=col,
-                        offset=run.stripe * span,
-                        payload=grid[:, col, :].tobytes(),
-                        meter=self._col_profile[col],
+                        offset=offset,
+                        # (count, rows, chunk): the span's on-disk order
+                        payload=by_stripe[:, col].transpose(1, 0, 2).tobytes(),
+                        meter=(data * count, parity * count),
                     )
                 )
         self._seal_journal()
-        self._store_stripe(run.stripe, grid)
+        for col in survivors:
+            column = by_stripe[:, col]
+            self._write_span(
+                col, offset,
+                [column[row, i] for i in range(count) for row in range(rows)],
+            )
+            data, parity = self._col_profile[col]
+            self._count(data * count, parity * count, wrote=True)
         self._commit_journal()
 
     def read_chunks(self, start: int, count: int) -> np.ndarray:
@@ -1161,10 +1256,7 @@ class ArrayStore:
             self._vector_write_span(
                 span.disk,
                 span.lba_chunk * chunk,
-                buf[
-                    (span.lba_chunk - start) * chunk
-                    : (span.stop - start) * chunk
-                ],
+                [buf[(span.lba_chunk - start) * chunk : (span.stop - start) * chunk]],
             )
         if counts.chunks_written:
             self._count(
@@ -1181,14 +1273,7 @@ class ArrayStore:
                 if item.is_write:
                     buf = ops[item.op_index][2]
                     payload = buf[item.cursor : item.cursor + item.run.nbytes]
-                    if item.plan.path == "delta":
-                        self._delta_write_run(item.run, payload)
-                        self.fast_path_writes += 1
-                    else:
-                        self._stripe_write_run(item.run, payload, item.plan)
-                        self.slow_path_writes += 1
-                    for watcher in tuple(self._write_watchers):
-                        watcher.add(item.run.stripe)
+                    self._write_run(item.run, payload, item.plan)
                 else:
                     self._read_run_into(
                         item.run, item.plan,
@@ -1282,9 +1367,12 @@ class ArrayStore:
             "store: disk %d failed (%d/%d fault budget used)",
             disk, len(self.failed), self.code.faults,
         )
-        # Raw write: the zeroed file models a factory-fresh replacement
-        # drive, so the wipe itself is never subject to fault injection.
-        self._raw_write_span(disk, 0, b"\0" * self._disk_bytes)
+        # Raw wipe: the zeroed file models a factory-fresh replacement
+        # drive, so it is never subject to fault injection. Truncating
+        # to nothing and back leaves one hole, which reads as zeros.
+        fd = self._handle(disk).fileno()
+        os.ftruncate(fd, 0)
+        os.ftruncate(fd, self._disk_bytes)
         if self.cache is not None:
             # Drain write-back state immediately under degraded semantics:
             # deltas land in surviving parity, and no stale chunk can be

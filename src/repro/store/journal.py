@@ -34,6 +34,7 @@ filtered per shard so each store rolls forward exactly its own writes.
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import struct
@@ -328,7 +329,28 @@ class IntentJournal:
     # low-level file ops (override points for crash-injection tests)
     # ------------------------------------------------------------------
     def _append(self, data: bytes) -> None:
-        self._file.write(data)
+        """Append all of ``data``, or raise with the file as it was.
+
+        An unbuffered write may land only part of its buffer (a signal,
+        or ``ENOSPC`` partway through a record), so loop on the count it
+        returns. On failure the torn piece is cut off again: recovery
+        stops parsing at the first bad record, so leaving it would hide
+        every transaction sealed after it.
+        """
+        start = self._file.tell()
+        view = memoryview(data)
+        try:
+            while view:
+                written = self._file.write(view)
+                if not written:
+                    raise OSError(
+                        errno.EIO, f"journal {self.path}: append wrote nothing"
+                    )
+                view = view[written:]
+        except BaseException:
+            self._file.truncate(start)
+            self._file.seek(start)
+            raise
 
     def _sync(self) -> None:
         os.fsync(self._file.fileno())

@@ -22,7 +22,10 @@ geometry — and owns everything one array cannot:
   :class:`~repro.service.StripeLockManager` keyed by extent index, and
   per-shard stripe locks wrapped around every shard I/O so two volume
   requests landing on one shard stripe through different extents can
-  never race its parity read-modify-write.
+  never race its parity read-modify-write. A request is routed and
+  locked per extent, but the routed runs that are contiguous inside one
+  shard go to that shard as one I/O, so a long write reaches each shard
+  as whole stripes rather than extent-sized pieces.
 
 Shards keep their own write-back caches, planners, and counters; the
 volume aggregates per-shard :class:`~repro.store.IoCounters` with
@@ -128,6 +131,22 @@ class _Shard:
         self.store = store
         self.directory = directory
         self.stripe_locks = StripeLockManager()
+
+
+class _ShardIO:
+    """Routed extent runs merged into one contiguous shard I/O.
+
+    ``pieces`` lists the ``(request_cursor, nbytes)`` slices of the
+    request the I/O carries, in shard order.
+    """
+
+    __slots__ = ("shard", "offset", "nbytes", "pieces")
+
+    def __init__(self, shard: _Shard, offset: int) -> None:
+        self.shard = shard
+        self.offset = offset
+        self.nbytes = 0
+        self.pieces: list[tuple[int, int]] = []
 
 
 class VolumeManager:
@@ -321,6 +340,28 @@ class VolumeManager:
             return self._new_shards[shard_index], base + within
         return self._shards[run.shard], run.shard_offset
 
+    def _shard_ios(self, runs: list[VolumeRun]) -> list[_ShardIO]:
+        """Route every extent run, then merge the runs contiguous inside
+        one shard into one shard I/O (first-touched shard first).
+
+        Same locking rule as :meth:`_route`: the runs' extent locks must
+        be held. Runs routed to different layouts of a migration land on
+        different shard objects, so a merged I/O never mixes layouts.
+        """
+        ios: list[_ShardIO] = []
+        last: dict[_Shard, _ShardIO] = {}
+        cursor = 0
+        for run in runs:
+            shard, offset = self._route(run)
+            io = last.get(shard)
+            if io is None or io.offset + io.nbytes != offset:
+                io = last[shard] = _ShardIO(shard, offset)
+                ios.append(io)
+            io.nbytes += run.nbytes
+            io.pieces.append((cursor, run.nbytes))
+            cursor += run.nbytes
+        return ios
+
     def _shard_write(
         self, shard: _Shard, offset: int, payload: np.ndarray
     ) -> None:
@@ -362,15 +403,13 @@ class VolumeManager:
             # plan computed outside would route into retired shards.
             runs = self.mapping.byte_runs(offset, buf.size)
             with self._extent_locks.locked(run.extent for run in runs):
-                cursor = 0
-                for run in runs:
-                    shard, shard_offset = self._route(run)
+                for io in self._shard_ios(runs):
+                    pieces = [buf[at : at + size] for at, size in io.pieces]
                     self._shard_write(
-                        shard,
-                        shard_offset,
-                        buf[cursor : cursor + run.nbytes],
+                        io.shard,
+                        io.offset,
+                        pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
                     )
-                    cursor += run.nbytes
 
     def read_bytes(self, offset: int, length: int) -> np.ndarray:
         """Read ``length`` bytes at volume byte ``offset``."""
@@ -381,13 +420,12 @@ class VolumeManager:
             # be consulted under the volume lock.
             runs = self.mapping.byte_runs(offset, length)
             with self._extent_locks.locked(run.extent for run in runs):
-                cursor = 0
-                for run in runs:
-                    shard, shard_offset = self._route(run)
-                    out[cursor : cursor + run.nbytes] = self._shard_read(
-                        shard, shard_offset, run.nbytes
-                    )
-                    cursor += run.nbytes
+                for io in self._shard_ios(runs):
+                    data = self._shard_read(io.shard, io.offset, io.nbytes)
+                    done = 0
+                    for at, size in io.pieces:
+                        out[at : at + size] = data[done : done + size]
+                        done += size
         return out
 
     def _check_range(self, offset: int, length: int) -> None:

@@ -125,10 +125,11 @@ class VolumeMapping:
     def byte_runs(self, offset: int, length: int) -> list[VolumeRun]:
         """Split a volume byte range into per-extent shard runs.
 
-        Runs never merge across extents even when two consecutive
-        extents land adjacently on one shard: the restriper routes (and
-        locks) extent by extent, so the extent is the atom of the
-        volume layer the same way the stripe is the array's.
+        Runs never merge across extents here, even when two extents
+        land adjacently on one shard: the restriper routes (and locks)
+        extent by extent, so the extent is the atom of routing the same
+        way the stripe is the array's. The manager merges runs into
+        shard I/Os only after routing them.
         """
         runs: list[VolumeRun] = []
         for extent in self.extent_range(offset, length):

@@ -10,6 +10,8 @@ started). The sweep tests exercise every boundary by crashing the
 journal's file ops one call later each iteration.
 """
 
+import errno
+import io
 import struct
 
 import numpy as np
@@ -469,3 +471,69 @@ class TestJournalledStoreEquivalence:
         )
         assert plain.io == logged.io
         plain.close(), logged.close(), journal.close()
+
+
+class _ShortFile(io.FileIO):
+    """A journal file whose writes land at most ``limit`` bytes each.
+
+    With ``fail_after`` set, every write after that many calls raises
+    ``ENOSPC``: a disk filling up partway through a record.
+    """
+
+    limit = 5
+    fail_after: int | None = None
+    calls = 0
+
+    def write(self, data):
+        self.calls += 1
+        if self.fail_after is not None and self.calls > self.fail_after:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(memoryview(data)[: self.limit])
+
+
+class TestShortAppends:
+    """An unbuffered write may land only part of a record; the journal
+    must append every byte or raise without leaving a torn record."""
+
+    @staticmethod
+    def _journal(path):
+        journal = IntentJournal(path)
+        journal._file.close()
+        journal._file = _ShortFile(path, "ab")
+        return journal
+
+    def test_short_writes_still_append_whole_records(self, tmp_path):
+        path = tmp_path / "j"
+        journal = self._journal(path)
+        journal.log(_record(payload=b"x" * 100))
+        journal.log(_record(disk=2, payload=b"y" * 37))
+        journal.seal(0)
+        assert journal._file.calls > 2  # the records took many writes
+        # Killed before the commit: both intents must parse back whole.
+        replayed = []
+        with IntentJournal(path) as reopened:
+            assert reopened.recover(replayed.append) == 2
+        assert [r.payload for r in replayed] == [b"x" * 100, b"y" * 37]
+        journal.close()
+
+    def test_failed_append_raises_and_leaves_no_torn_record(self, tmp_path):
+        path = tmp_path / "j"
+        journal = self._journal(path)
+        journal.log(_record(payload=b"a" * 64))
+        journal.seal(0)  # sealed, never committed: must survive
+        journal._file.calls = 0
+        journal._file.fail_after = 3
+        journal.log(_record(shard=1, payload=b"b" * 64))
+        with pytest.raises(OSError) as failure:
+            journal.seal(1)
+        assert failure.value.errno == errno.ENOSPC
+        # Space is back: a later transaction must land behind the first
+        # one, not behind an unparseable piece of the failed one.
+        journal._file.fail_after = None
+        journal.log(_record(shard=2, payload=b"c" * 64))
+        journal.seal(2)
+        replayed = []
+        with IntentJournal(path) as reopened:
+            reopened.recover(replayed.append)
+        assert [r.payload for r in replayed] == [b"a" * 64, b"c" * 64]
+        journal.close()
