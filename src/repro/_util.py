@@ -1,15 +1,21 @@
 """Small shared utilities: primality, prime selection, argument checking.
 
-These helpers are used across the code constructions, which are all
+The prime helpers are used across the code constructions, which are all
 parameterized by a prime ``p`` (TIP, STAR, Triple-Star, HDD1, EVENODD, RDP
-are array codes over Z_p diagonals).
+are array codes over Z_p diagonals). The byte helpers validate and
+normalise requests at every byte-addressed front door (store, device,
+service, volume).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 __all__ = [
+    "as_bytes_array",
+    "check_byte_range",
     "is_prime",
     "next_prime",
     "primes_up_to",
@@ -87,3 +93,29 @@ def mod(value: int, modulus: int) -> int:
     """Mathematical mod (always in ``0..modulus-1``), mirroring the paper's
     angle-bracket notation ``<i>_p``."""
     return value % modulus
+
+
+def as_bytes_array(data: bytes | bytearray | np.ndarray) -> np.ndarray:
+    """A write payload as a flat contiguous ``uint8`` array.
+
+    Arrays are viewed in place where possible; other buffers are frozen
+    into ``bytes`` first, so a caller mutating its ``bytearray`` after
+    the call cannot change what gets written.
+    """
+    if isinstance(data, np.ndarray):
+        return np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
+    return np.frombuffer(bytes(data), dtype=np.uint8)
+
+
+def check_byte_range(offset: int, length: int, capacity: int, what: str) -> None:
+    """Reject a byte range that is empty or leaves ``[0, capacity)``;
+    ``what`` names the address space (``"device"``, ``"volume"``, ...)."""
+    if offset < 0:
+        raise ValueError(f"negative offset {offset}")
+    if length <= 0:
+        raise ValueError(f"non-positive length {length}")
+    if offset + length > capacity:
+        raise ValueError(
+            f"range [{offset}, {offset + length}) exceeds {what} "
+            f"capacity {capacity}"
+        )

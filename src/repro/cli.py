@@ -606,7 +606,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_scrub(args: argparse.Namespace) -> int:
-    from repro.faults import FaultError, FaultPlan, RepairController, Scrubber
+    from repro.faults import FaultPlan, RepairController, Scrubber
+    from repro.faults.inject import retry_faults
     from repro.store import ArrayStore
 
     code = make_code(args.family, args.n)
@@ -628,14 +629,11 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
                     np.arange(store.capacity_bytes, dtype=np.int64) % 251
                 ).astype(np.uint8).reshape(-1, store.chunk_bytes)
                 for chunk in range(0, store.capacity_chunks, code.num_data):
-                    batch = pattern[chunk : chunk + code.num_data]
-                    for attempt in range(4):
-                        try:
-                            store.write_chunks(chunk, batch)
-                            break
-                        except FaultError as exc:
-                            if not repair.handle_fault(exc):
-                                raise
+                    retry_faults(
+                        store.write_chunks, repair.handle_fault,
+                        f"prefill of chunk {chunk}",
+                        chunk, pattern[chunk : chunk + code.num_data],
+                    )
                 repair.drain()
             print(f"scrubbing {code.name} (n={code.n}, {store.stripes} "
                   f"stripes x {store.chunk_bytes} B chunks"

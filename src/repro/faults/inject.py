@@ -49,6 +49,7 @@ __all__ = [
     "InjectedFault",
     "LatentSectorError",
     "TransientIOError",
+    "retry_faults",
 ]
 
 logger = logging.getLogger(__name__)
@@ -87,6 +88,42 @@ class TransientIOError(FaultError):
 
     def __init__(self, disk: int) -> None:
         super().__init__(disk, f"transient I/O error on disk {disk}")
+
+
+#: Attempts :func:`retry_faults` makes before giving up: every retry
+#: follows a state-changing repair (disk replaced, stripe fixed), so the
+#: cap only guards against a pathological fault plan.
+MAX_ATTEMPTS = 6
+
+
+def retry_faults(
+    attempt: Callable[..., object],
+    handle_fault: Callable[[FaultError], bool] | None,
+    what: object,
+    *args: object,
+) -> object:
+    """Return ``attempt(*args)``, repairing and retrying injected faults.
+
+    Each :class:`FaultError` goes to ``handle_fault``; when it returns
+    True the fault was dealt with (disk replaced, stripe repaired,
+    journal rolled forward) and the attempt runs again. Without a
+    handler, or when it declines, the fault propagates unchanged. After
+    :data:`MAX_ATTEMPTS` faulting attempts an ``IOError`` naming
+    ``str(what)`` is raised, chained to the last fault: the cap firing
+    is a symptom, the root cause is whatever kept faulting after repair.
+    """
+    last_fault = None
+    for _ in range(MAX_ATTEMPTS):
+        try:
+            return attempt(*args)
+        except FaultError as exc:
+            if handle_fault is None or not handle_fault(exc):
+                raise
+            last_fault = exc
+    raise IOError(
+        f"{what} still faulting after {MAX_ATTEMPTS} repair-and-retry "
+        "attempts"
+    ) from last_fault
 
 
 @dataclass

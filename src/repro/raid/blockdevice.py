@@ -22,20 +22,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro._util import as_bytes_array, check_byte_range
+from repro.faults.inject import FaultError, retry_faults
 from repro.traces.model import Trace, TraceRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.faults.inject import FaultPlan
     from repro.faults.repair import RepairController, RepairStats
     from repro.raid.cache import CacheStats
     from repro.store import ArrayStore, IoCounters
 
 __all__ = ["BlockDevice", "ReplayResult"]
-
-#: Per-request cap on fault-handle-and-retry cycles during replay: every
-#: retry follows a state-changing repair (disk replaced, stripe fixed),
-#: so the bound only guards against a pathological fault plan.
-_MAX_REQUEST_ATTEMPTS = 6
 
 
 @dataclass
@@ -82,32 +78,17 @@ class BlockDevice:
             (``store.capacity_chunks * store.chunk_bytes`` bytes).
     """
 
-    def __init__(
-        self, store: "ArrayStore", fault_plan: "FaultPlan | None" = None
-    ) -> None:
+    def __init__(self, store: "ArrayStore") -> None:
         self.store = store
         self.mapping = store.planner.mapping
         self.capacity_bytes = store.capacity_chunks * store.chunk_bytes
-        if fault_plan is not None:
-            store.set_fault_plan(fault_plan)
-
-    def _check_range(self, offset: int, length: int) -> None:
-        if offset < 0:
-            raise ValueError(f"negative offset {offset}")
-        if length <= 0:
-            raise ValueError(f"non-positive length {length}")
-        if offset + length > self.capacity_bytes:
-            raise ValueError(
-                f"range [{offset}, {offset + length}) exceeds device "
-                f"capacity {self.capacity_bytes}"
-            )
 
     # ------------------------------------------------------------------
     # byte I/O
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` (degraded-safe)."""
-        self._check_range(offset, length)
+        check_byte_range(offset, length, self.capacity_bytes, "device")
         return self.store.read_bytes(offset, length).tobytes()
 
     def write(self, offset: int, data: bytes | bytearray | np.ndarray) -> None:
@@ -118,10 +99,8 @@ class BlockDevice:
         bytes around the splice, so unaligned writes cost exactly the
         same chunk I/Os as aligned ones.
         """
-        buf = np.frombuffer(bytes(data), dtype=np.uint8) if not isinstance(
-            data, np.ndarray
-        ) else np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-        self._check_range(offset, buf.size)
+        buf = as_bytes_array(data)
+        check_byte_range(offset, buf.size, self.capacity_bytes, "device")
         self.store.write_bytes(offset, buf)
 
     # ------------------------------------------------------------------
@@ -139,34 +118,6 @@ class BlockDevice:
         offset = request.offset % self.capacity_bytes
         length = min(request.length, self.capacity_bytes - offset)
         return offset, length
-
-    def _attempt(
-        self, request: TraceRequest, offset: int, length: int,
-        repair: "RepairController | None",
-    ) -> int:
-        """Execute one request, dispatching injected faults through the
-        repair controller and retrying; returns the retries consumed."""
-        from repro.faults.inject import FaultError
-
-        store = self.store
-        last_fault: FaultError | None = None
-        for attempt in range(_MAX_REQUEST_ATTEMPTS):
-            try:
-                if request.is_write:
-                    store.write_bytes(offset, _payload(request, length))
-                else:
-                    store.read_bytes(offset, length)
-                return attempt
-            except FaultError as exc:
-                if repair is None or not repair.handle_fault(exc):
-                    raise
-                last_fault = exc
-        # Chain the final fault: the retry cap firing is a symptom, the
-        # root cause is whatever kept faulting after repair.
-        raise IOError(
-            f"request at offset {offset} still faulting after "
-            f"{_MAX_REQUEST_ATTEMPTS} repair-and-retry attempts"
-        ) from last_fault
 
     def replay(
         self,
@@ -202,22 +153,33 @@ class BlockDevice:
         bytes_read = bytes_written = 0
         read_chunks = write_chunks = 0
         retried = 0
+
+        def handle_fault(exc: FaultError) -> bool:
+            nonlocal retried
+            handled = repair.handle_fault(exc)
+            retried += handled
+            return handled
+
+        handler = handle_fault if repair is not None else None
         for index, request in enumerate(trace):
             offset, length = self._map_request(request)
             before = store.io.snapshot()
-            retried += self._attempt(request, offset, length, repair)
+            what = f"request at offset {offset}"
+            if request.is_write:
+                payload = _payload(request, length)
+                retry_faults(store.write_bytes, handler, what, offset, payload)
+            else:
+                retry_faults(store.read_bytes, handler, what, offset, length)
+            done = store.io.snapshot() - before
+            per_request.append(done)
             if request.is_write:
                 writes += 1
                 bytes_written += length
+                write_chunks += done.total_chunks
             else:
                 reads += 1
                 bytes_read += length
-            done = store.io.snapshot() - before
-            if request.is_write:
-                write_chunks += done.total_chunks
-            else:
                 read_chunks += done.total_chunks
-            per_request.append(done)
             if (
                 repair is not None
                 and scrub_every > 0

@@ -24,21 +24,18 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.raid.blockdevice import _payload
-from repro.service.scheduler import BlockService, percentile
-from repro.store.metering import SyscallCounters
+from repro.service.scheduler import BlockService, ServiceStats
+from repro.store.metering import IoCounters, SyscallCounters
 from repro.traces.model import Trace, TraceRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.repair import RepairStats
     from repro.raid.cache import CacheStats
-    from repro.store import ArrayStore, IoCounters
+    from repro.store import ArrayStore
 
 __all__ = [
     "ConcurrentReplayResult",
@@ -49,34 +46,24 @@ __all__ = [
 
 
 @dataclass
-class ConcurrentReplayResult:
-    """Measured outcome of a closed-loop concurrent replay."""
+class ConcurrentReplayResult(ServiceStats):
+    """Measured outcome of a replay: the service's stats plus context."""
 
-    workers: int
-    requests: int
-    reads: int
-    writes: int
-    bytes_read: int
-    bytes_written: int
-    elapsed_s: float
+    workers: int = 1
+    elapsed_s: float = 0.0
     #: Aggregate measured chunk I/O over the whole replay (foreground +
     #: any repair), from the store's own meters.
-    io: "IoCounters"
-    #: Per-request latency samples (ms) across all workers.
-    latencies_ms: list[float] = field(repr=False, default_factory=list)
+    io: IoCounters = field(default_factory=IoCounters)
     cache: "CacheStats | None" = None
     repair: "RepairStats | None" = None
-    retried_requests: int = 0
-    repair_ticks: int = 0
-    #: Physical backing-file syscalls over the replay window (None when
-    #: produced by a result predating the syscall meter).
-    syscalls: "SyscallCounters | None" = None
+    #: Physical backing-file syscalls over the replay window.
+    syscalls: SyscallCounters = field(default_factory=SyscallCounters)
     #: Lock-contention counters from :meth:`BlockService.contention`.
-    contention: dict[str, float | int] | None = None
+    contention: dict[str, float | int] = field(default_factory=dict)
     #: CPUs on the recording host (scaling context for the counters).
     host_cpus: int = 0
-    #: Batched-mode geometry: requested batch size (0 = per-request
-    #: execution) and batches actually dispatched.
+    #: Batch geometry: requested batch size (0 = per-request execution)
+    #: and batches actually dispatched.
     batch_size: int = 0
     batches: int = 0
 
@@ -88,26 +75,7 @@ class ConcurrentReplayResult:
     @property
     def syscalls_per_request(self) -> float:
         """Mean backing-file syscalls per completed request."""
-        if self.syscalls is None or not self.requests:
-            return 0.0
-        return self.syscalls.total / self.requests
-
-    @property
-    def p50_latency_ms(self) -> float:
-        """Median request latency in milliseconds."""
-        return percentile(self.latencies_ms, 0.50)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        """99th-percentile request latency in milliseconds."""
-        return percentile(self.latencies_ms, 0.99)
-
-    @property
-    def mean_latency_ms(self) -> float:
-        """Mean request latency in milliseconds."""
-        if not self.latencies_ms:
-            return 0.0
-        return sum(self.latencies_ms) / len(self.latencies_ms)
+        return self.syscalls.total / self.requests if self.requests else 0.0
 
 
 def split_disjoint(
@@ -154,6 +122,52 @@ def split_disjoint(
     ]
 
 
+def _replay(
+    store: "ArrayStore",
+    service: BlockService,
+    drive: Callable[[BlockService], None],
+) -> ConcurrentReplayResult:
+    """Run ``drive(service)``, close the service, measure the window.
+
+    The service is closed (repair drained, cache flushed) before the
+    result is assembled, so the aggregate counters cover everything the
+    replay made durable — mirroring what serial
+    :meth:`~repro.raid.BlockDevice.replay` counts. A drive that timed
+    out leaves the service open: closing it would wait on the same
+    stuck request.
+    """
+    io_before = store.io.snapshot()
+    syscalls_before = store.syscalls.snapshot()
+    cache = store.cache
+    cache_before = cache.snapshot_stats() if cache is not None else None
+    started = time.perf_counter()
+    try:
+        drive(service)
+    except TimeoutError:
+        raise
+    except BaseException:
+        service.close()
+        raise
+    service.close()
+    return ConcurrentReplayResult(
+        **asdict(service.stats),
+        workers=service.workers,
+        elapsed_s=time.perf_counter() - started,
+        io=store.io.snapshot() - io_before,
+        cache=(
+            cache.snapshot_stats() - cache_before
+            if cache is not None
+            else None
+        ),
+        repair=service.repair.stats if service.repair is not None else None,
+        syscalls=store.syscalls.snapshot() - syscalls_before,
+        contention=service.contention(),
+        host_cpus=os.cpu_count() or 1,
+        batch_size=service.batch_size,
+        batches=service.batches,
+    )
+
+
 def _replay_worker(
     service: BlockService,
     trace: Trace,
@@ -161,12 +175,11 @@ def _replay_worker(
     errors: list[BaseException],
 ) -> None:
     """One closed-loop client: replay ``trace`` request by request."""
-    capacity = service.capacity_bytes
+    fold = service.device._map_request
     try:
         barrier.wait()
         for request in trace:
-            offset = request.offset % capacity
-            length = min(request.length, capacity - offset)
+            offset, length = fold(request)
             if request.is_write:
                 service.write(offset, _payload(request, length))
             else:
@@ -191,14 +204,45 @@ def replay_concurrent(
     """Replay ``traces`` concurrently, one closed-loop worker per trace.
 
     Workers start together (barrier-synchronized) and each replays its
-    trace through a shared :class:`BlockService`; the service is closed
-    (repair drained, cache flushed) before the result is assembled, so
-    the aggregate counters cover everything the replay made durable —
-    mirroring what serial :meth:`~repro.raid.BlockDevice.replay` counts.
-    With ``batch_size > 0`` the service runs in batched mode — workers
-    stay closed-loop, so batches only fill as far as the worker count
-    allows; use :func:`replay_batched` for an open-loop batch sweep.
+    trace through a shared :class:`BlockService`. With
+    ``batch_size > 1`` the service batches — workers stay closed-loop,
+    so batches only fill as far as the worker count allows; use
+    :func:`replay_batched` for an open-loop batch sweep.
     """
+
+    def drive(service: BlockService) -> None:
+        barrier = threading.Barrier(len(traces))
+        errors: list[BaseException] = []
+        threads = [
+            threading.Thread(
+                target=_replay_worker,
+                args=(service, trace, barrier, errors),
+                name=f"repro-loadgen-{index}",
+                daemon=True,
+            )
+            for index, trace in enumerate(traces)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=join_timeout_s)
+            if thread.is_alive():
+                raise TimeoutError(
+                    f"load worker {thread.name} still running after "
+                    f"{join_timeout_s}s — suspected deadlock"
+                )
+        if errors:
+            # Prefer the root cause over the BrokenBarrierError fallout
+            # the abort caused in the other workers.
+            raise next(
+                (
+                    error
+                    for error in errors
+                    if not isinstance(error, threading.BrokenBarrierError)
+                ),
+                errors[0],
+            )
+
     service = BlockService(
         store,
         workers=max(1, len(traces)),
@@ -206,69 +250,7 @@ def replay_concurrent(
         repair_every=repair_every,
         batch_size=batch_size,
     )
-    io_before = store.io.snapshot()
-    syscalls_before = store.syscalls.snapshot()
-    cache = store.cache
-    cache_before = cache.snapshot_stats() if cache is not None else None
-    barrier = threading.Barrier(len(traces))
-    errors: list[BaseException] = []
-    threads = [
-        threading.Thread(
-            target=_replay_worker,
-            args=(service, trace, barrier, errors),
-            name=f"repro-loadgen-{index}",
-            daemon=True,
-        )
-        for index, trace in enumerate(traces)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=join_timeout_s)
-        if thread.is_alive():
-            raise TimeoutError(
-                f"load worker {thread.name} still running after "
-                f"{join_timeout_s}s — suspected deadlock"
-            )
-    service.close()
-    elapsed = time.perf_counter() - started
-    if errors:
-        # Prefer the root cause over the BrokenBarrierError fallout the
-        # abort caused in the other workers.
-        raise next(
-            (
-                error
-                for error in errors
-                if not isinstance(error, threading.BrokenBarrierError)
-            ),
-            errors[0],
-        )
-    stats = service.stats
-    return ConcurrentReplayResult(
-        workers=len(traces),
-        requests=stats.requests,
-        reads=stats.reads,
-        writes=stats.writes,
-        bytes_read=stats.bytes_read,
-        bytes_written=stats.bytes_written,
-        elapsed_s=elapsed,
-        io=store.io.snapshot() - io_before,
-        latencies_ms=list(stats.latencies_ms),
-        cache=(
-            cache.snapshot_stats() - cache_before
-            if cache is not None
-            else None
-        ),
-        repair=repair.stats if repair is not None else None,
-        retried_requests=stats.retried_requests,
-        repair_ticks=stats.repair_ticks,
-        syscalls=store.syscalls.snapshot() - syscalls_before,
-        contention=service.contention(),
-        host_cpus=os.cpu_count() or 1,
-        batch_size=batch_size,
-        batches=service.batches,
-    )
+    return _replay(store, service, drive)
 
 
 def replay_batched(
@@ -300,57 +282,26 @@ def replay_batched(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    depth = window if window is not None else max(32, 16 * batch_size)
+
+    def drive(service: BlockService) -> None:
+        fold = service.device._map_request
+        futures = []
+        for request in trace:
+            offset, length = fold(request)
+            futures.append(
+                service.enqueue(True, offset, _payload(request, length))
+                if request.is_write
+                else service.enqueue(False, offset, length)
+            )
+        for future in futures:
+            future.result(timeout=join_timeout_s)
+
     service = BlockService(
         store,
         workers=1,
         repair=repair,
         repair_every=repair_every,
         batch_size=batch_size,
-        max_inflight=depth,
+        max_inflight=window if window is not None else max(32, 16 * batch_size),
     )
-    io_before = store.io.snapshot()
-    syscalls_before = store.syscalls.snapshot()
-    cache = store.cache
-    cache_before = cache.snapshot_stats() if cache is not None else None
-    capacity = service.capacity_bytes
-    futures: "list[Future[np.ndarray | None]]" = []
-    started = time.perf_counter()
-    for request in trace:
-        offset = request.offset % capacity
-        length = min(request.length, capacity - offset)
-        if request.is_write:
-            futures.append(
-                service.enqueue(True, offset, _payload(request, length))
-            )
-        else:
-            futures.append(service.enqueue(False, offset, length))
-    for future in futures:
-        future.result(timeout=join_timeout_s)
-    service.close()
-    elapsed = time.perf_counter() - started
-    stats = service.stats
-    return ConcurrentReplayResult(
-        workers=1,
-        requests=stats.requests,
-        reads=stats.reads,
-        writes=stats.writes,
-        bytes_read=stats.bytes_read,
-        bytes_written=stats.bytes_written,
-        elapsed_s=elapsed,
-        io=store.io.snapshot() - io_before,
-        latencies_ms=list(stats.latencies_ms),
-        cache=(
-            cache.snapshot_stats() - cache_before
-            if cache is not None
-            else None
-        ),
-        repair=repair.stats if repair is not None else None,
-        retried_requests=stats.retried_requests,
-        repair_ticks=stats.repair_ticks,
-        syscalls=store.syscalls.snapshot() - syscalls_before,
-        contention=service.contention(),
-        host_cpus=os.cpu_count() or 1,
-        batch_size=batch_size,
-        batches=service.batches,
-    )
+    return _replay(store, service, drive)

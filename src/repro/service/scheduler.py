@@ -19,18 +19,20 @@ callers actually contend. It owns the locking discipline:
   workers — and the QoS arbiter interleaves one repair tick per
   ``repair_every`` completed foreground requests — the concurrent
   analogue of ``BlockDevice.replay(scrub_every=...)``;
-* with ``batch_size > 0`` the service runs in **batched mode**: admitted
-  requests enqueue to a single dispatcher thread that buffers arrivals
-  (adaptive window — it stops waiting early when arrivals can't fill a
-  batch, and drains anything already queued beyond it), composes each
-  batch by **stripe affinity** — same-stripe requests join for free, a
-  small budget caps the distinct stripes a batch opens, per-stripe FIFO
-  order is preserved so the reordering is invisible — then takes the
-  array lock and the batch's stripe-lock union *once* and executes the
-  whole batch through :meth:`~repro.store.ArrayStore.execute_batch`'s
-  merged span I/O. Chunk ``IoCounters`` are identical to per-request
-  execution; only the syscall count and the per-request Python overhead
-  drop.
+* every admitted request runs through one pipeline, admission →
+  :meth:`BlockService._dispatch` → :meth:`BlockService._complete`, as
+  part of a batch. With ``batch_size`` 0 or 1 the batch is the request
+  alone, executed on the caller's thread; above 1 a single dispatcher
+  thread buffers arrivals (adaptive window — it stops waiting early
+  when arrivals can't fill a batch, and drains anything already queued
+  beyond it), composes each batch by **stripe affinity** — same-stripe
+  requests join for free, a small budget caps the distinct stripes a
+  batch opens, per-stripe FIFO order is preserved so the reordering is
+  invisible — then takes the array lock and the batch's stripe-lock
+  union *once* and executes the whole batch through
+  :meth:`~repro.store.ArrayStore.execute_batch`'s merged span I/O.
+  Chunk ``IoCounters`` are identical to per-request execution; only the
+  syscall count and the per-request Python overhead drop.
 
 Latency is measured per request from admission to completion
 (:class:`ServiceStats` collects the samples; `p50/p99` come from
@@ -50,6 +52,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro._util import as_bytes_array, check_byte_range
+from repro.faults.inject import FaultError, retry_faults
 from repro.raid.blockdevice import BlockDevice
 from repro.service.locks import ArrayRWLock, FifoSemaphore, StripeLockManager
 
@@ -59,25 +63,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BlockService", "ServiceStats", "percentile"]
 
-#: Per-request cap on fault-handle-and-retry cycles, matching
-#: ``BlockDevice.replay``'s bound: every retry follows a state-changing
-#: repair, so the cap only guards against a pathological fault plan.
-_MAX_REQUEST_ATTEMPTS = 6
-
-
-def _completed_future(value) -> "Future":
-    """A :class:`Future` already resolved to ``value``."""
-    future: "Future" = Future()
-    future.set_result(value)
-    return future
-
-
 #: Shared completed future returned for inline (batch_size=1) writes.
 #: Writes resolve to ``None`` and a finished future is immutable —
 #: ``cancel()`` refuses, ``add_done_callback`` invokes without
 #: retaining — so one instance serves every caller and the degenerate
 #: batch path skips a Future allocation + condition notify per request.
-_WRITE_DONE: "Future[None]" = _completed_future(None)
+_WRITE_DONE: "Future[None]" = Future()
+_WRITE_DONE.set_result(None)
 
 
 def percentile(samples: list[float], fraction: float) -> float:
@@ -111,6 +103,16 @@ class ServiceStats:
         """Foreground requests completed."""
         return self.reads + self.writes
 
+    def record(self, is_write: bool, length: int, elapsed_ms: float) -> None:
+        """Account one completed request (the caller serializes)."""
+        if is_write:
+            self.writes += 1
+            self.bytes_written += length
+        else:
+            self.reads += 1
+            self.bytes_read += length
+        self.latencies_ms.append(elapsed_ms)
+
     @property
     def mean_latency_ms(self) -> float:
         """Mean request latency in milliseconds."""
@@ -129,18 +131,18 @@ class ServiceStats:
         return percentile(self.latencies_ms, 0.99)
 
 
-class _QueuedRequest:
-    """One admitted request parked on the dispatcher queue.
+class _Request:
+    """One admitted request and, once executed, its outcome.
 
-    ``started`` is the admission timestamp for requests whose slot
-    release and stats accounting are the *dispatcher's* job (async
-    :meth:`BlockService.enqueue`); ``None`` means the submitting thread
-    accounts for itself (synchronous :meth:`BlockService.write` /
-    ``read`` in batched mode).
+    :meth:`BlockService._dispatch` leaves ``result`` or ``error`` on the
+    request. Requests executed on their caller's thread are read back
+    from there and never allocate a :class:`Future`; requests queued to
+    the dispatcher also carry the ``future`` their caller waits on.
     """
 
     __slots__ = (
-        "is_write", "offset", "length", "payload", "future", "started"
+        "is_write", "offset", "length", "payload", "started", "result",
+        "error", "future",
     )
 
     def __init__(
@@ -149,15 +151,37 @@ class _QueuedRequest:
         offset: int,
         length: int,
         payload: np.ndarray | None,
-        future: "Future[np.ndarray | None]",
-        started: float | None = None,
+        started: float,
     ) -> None:
         self.is_write = is_write
         self.offset = offset
         self.length = length
         self.payload = payload
-        self.future = future
         self.started = started
+        self.result: np.ndarray | None = None
+        self.error: BaseException | None = None
+        self.future: "Future[np.ndarray | None] | None" = None
+
+    def __str__(self) -> str:
+        """How :func:`retry_faults` names the request if its cap fires."""
+        return f"request at offset {self.offset}"
+
+    def outcome(self) -> np.ndarray | None:
+        """The request's result (waiting for the dispatcher if queued);
+        raises what the request raised."""
+        if self.future is not None:
+            return self.future.result()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+    def settle(self, future: "Future[np.ndarray | None]") -> "Future":
+        """Resolve ``future`` to the request's outcome; returns it."""
+        if self.error is None:
+            future.set_result(self.result)
+        else:
+            future.set_exception(self.error)
+        return future
 
 
 class BlockService:
@@ -185,13 +209,13 @@ class BlockService:
             requests; defaults to ``4 * workers`` (and at least
             ``batch_size`` in batched mode, so a full batch can ever
             assemble).
-        batch_size: 0 (default) keeps per-request execution. > 0 turns
-            on batched mode: admitted requests enqueue to a single
-            dispatcher thread that groups up to this many of them per
-            :meth:`~repro.store.ArrayStore.execute_batch` call, locking
-            the batch's stripe union once. ``batch_size=1`` degenerates
-            to per-request dispatch through the queue (the serial
-            baseline with only the handoff overhead added).
+        batch_size: 0 (default) and 1 execute every request on its
+            caller's thread as a batch of one; 0 also refuses
+            :meth:`enqueue`, so 1 is the batched mode's degenerate
+            per-request baseline. Above 1 admitted requests go to a
+            single dispatcher thread that groups up to this many of
+            them per :meth:`~repro.store.ArrayStore.execute_batch` call,
+            locking the batch's stripe union once.
         batch_window_s: longest the dispatcher waits for a batch to
             fill once its first request arrived. The effective wait
             adapts: it halves after an underfull batch (arrivals too
@@ -222,6 +246,8 @@ class BlockService:
             raise ValueError("batch_window_s must be positive")
         self.store = store
         self.device = BlockDevice(store)
+        #: Addressable bytes (the device's full logical capacity).
+        self.capacity_bytes = self.device.capacity_bytes
         self.workers = workers
         self.repair = repair
         self.repair_every = repair_every
@@ -231,15 +257,12 @@ class BlockService:
         self._array = ArrayRWLock()
         self._stripe_locks = StripeLockManager()
         inflight = max_inflight if max_inflight is not None else 4 * workers
-        if batch_size:
-            inflight = max(inflight, batch_size)
-        self._admission = FifoSemaphore(inflight)
+        self._admission = FifoSemaphore(max(inflight, batch_size))
         self._stats_lock = threading.Lock()
-        self._completed_since_tick = 0
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
-        #: Batched-mode plumbing (inert while ``batch_size == 0``).
-        self._queue: "queue.SimpleQueue[_QueuedRequest | None]" = (
+        #: Dispatcher plumbing (inert while ``batch_size <= 1``).
+        self._queue: "queue.SimpleQueue[_Request | None]" = (
             queue.SimpleQueue()
         )
         self._dispatcher: threading.Thread | None = None
@@ -250,20 +273,15 @@ class BlockService:
         #: composition (see :meth:`_compose`); same-stripe requests join
         #: for free, so a small budget is what concentrates a batch onto
         #: few stripes and lets span merging actually bite.
-        self._stripe_budget = max(2, batch_size // 5) if batch_size else 0
+        self._stripe_budget = max(2, batch_size // 5)
         #: Batches dispatched and requests they carried (mean batch fill
-        #: = ``batched_requests / batches``).
+        #: = ``batched_requests / batches``; 1 whenever ``batch_size <= 1``).
         self.batches = 0
         self.batched_requests = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def capacity_bytes(self) -> int:
-        """Addressable bytes (the device's full logical capacity)."""
-        return self.device.capacity_bytes
-
     def _executor(self) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
@@ -284,8 +302,6 @@ class BlockService:
             self._queue.put(None)
             self._dispatcher.join(timeout=60.0)
             self._dispatcher = None
-        from repro.faults.inject import FaultError
-
         with self._array.exclusive():
             if self.repair is not None:
                 self.repair.drain()
@@ -293,17 +309,11 @@ class BlockService:
             # it the same repair-and-retry treatment as request I/O so a
             # latent sector surfacing on a parity anchor read doesn't
             # escape close() with dirty stripes still in the cache.
-            for _ in range(_MAX_REQUEST_ATTEMPTS - 1):
-                try:
-                    self.store.flush()
-                    break
-                except FaultError as exc:
-                    if self.repair is None or not self.repair.handle_fault(
-                        exc
-                    ):
-                        raise
-            else:
-                self.store.flush()
+            retry_faults(
+                self.store.flush,
+                self.repair.handle_fault if self.repair is not None else None,
+                "cache flush",
+            )
 
     def contention(self) -> dict[str, float | int]:
         """Lock-contention counters for benchmark attribution.
@@ -332,22 +342,18 @@ class BlockService:
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` (admitted, stripe-locked)."""
-        self.device._check_range(offset, length)
-        return self._admitted(False, offset, length, None).tobytes()
+        check_byte_range(offset, length, self.capacity_bytes, "device")
+        return self._admit(False, offset, length, None).outcome().tobytes()
 
     def write(self, offset: int, data: bytes | bytearray | np.ndarray) -> None:
         """Write ``data`` at ``offset`` (admitted, stripe-locked)."""
-        buf = (
-            np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-            if isinstance(data, np.ndarray)
-            else np.frombuffer(bytes(data), dtype=np.uint8)
-        )
-        self.device._check_range(offset, buf.size)
-        self._admitted(True, offset, buf.size, buf)
+        buf = as_bytes_array(data)
+        check_byte_range(offset, buf.size, self.capacity_bytes, "device")
+        self._admit(True, offset, buf.size, buf).outcome()
 
     def submit_read(self, offset: int, length: int) -> "Future[bytes]":
         """Queue a read on the service pool; returns its future."""
-        self.device._check_range(offset, length)
+        check_byte_range(offset, length, self.capacity_bytes, "device")
         return self._executor().submit(self.read, offset, length)
 
     def submit_write(
@@ -366,173 +372,186 @@ class BlockService:
 
         Acquires an admission slot on the *calling* thread — so a single
         submitter issuing requests in order is backpressured, not
-        reordered; slot release and stats accounting happen when the
-        dispatcher resolves the future. This is the open-loop entry the
-        batched load generator drives: queue depth up to
-        ``max_inflight`` from one submitter is what lets batches fill.
+        reordered; the slot is released when the request completes. This
+        is the open-loop entry the batched load generator drives: queue
+        depth up to ``max_inflight`` from one submitter is what lets
+        batches fill. With ``batch_size=1`` the request has already run
+        when the (completed) future is returned.
         """
         if not self.batch_size:
             raise ValueError("enqueue() requires batched mode (batch_size > 0)")
         if is_write:
-            payload = (
-                np.ascontiguousarray(data_or_length, dtype=np.uint8).reshape(-1)
-                if isinstance(data_or_length, np.ndarray)
-                else np.frombuffer(bytes(data_or_length), dtype=np.uint8)
-            )
+            payload = as_bytes_array(data_or_length)
             length = payload.size
         else:
             payload = None
             length = int(data_or_length)
-        self.device._check_range(offset, length)
-        started = time.perf_counter()
-        self._admission.acquire()
-        if self.batch_size == 1:
-            # Degenerate batches: execute inline on the submitter thread
-            # (strict submission order, no dispatcher handoff) — the
-            # true per-request baseline the batch sweep compares against,
-            # so keep its overhead at per-request parity: writes resolve
-            # to None and share one pre-completed future.
-            try:
-                result = self._execute(is_write, offset, length, payload)
-            except BaseException as exc:  # noqa: BLE001 - to the caller
-                future: "Future[np.ndarray | None]" = Future()
-                future.set_exception(exc)
-            else:
-                future = (
-                    _WRITE_DONE
-                    if result is None
-                    else _completed_future(result)
-                )
-            finally:
-                self._admission.release()
-                self._record_completion(
-                    is_write, length, (time.perf_counter() - started) * 1e3
-                )
-            return future
-        self._ensure_dispatcher()
-        request = _QueuedRequest(
-            is_write, offset, length, payload, Future(), started
-        )
-        self._queue.put(request)
-        return request.future
+        check_byte_range(offset, length, self.capacity_bytes, "device")
+        request = self._admit(is_write, offset, length, payload)
+        if request.future is not None:
+            return request.future
+        if is_write and request.error is None:
+            return _WRITE_DONE
+        return request.settle(Future())
 
     # ------------------------------------------------------------------
-    # execution
+    # execution: admission -> _dispatch -> _complete
     # ------------------------------------------------------------------
-    def _admitted(
+    def _admit(
         self,
         is_write: bool,
         offset: int,
         length: int,
         payload: np.ndarray | None,
-    ) -> np.ndarray | None:
-        """Admission + timing wrapper around one request execution."""
-        started = time.perf_counter()
-        with self._admission:
-            if self.batch_size:
-                result = self._enqueued(is_write, offset, length, payload)
-            else:
-                result = self._execute(is_write, offset, length, payload)
-        self._record_completion(
-            is_write, length, (time.perf_counter() - started) * 1e3
-        )
-        return result
+    ) -> _Request:
+        """Admit one request and start it through the pipeline.
 
-    def _record_completion(
-        self, is_write: bool, length: int, elapsed_ms: float
-    ) -> None:
-        """Account one completed request; maybe run a QoS repair tick."""
+        With ``batch_size <= 1`` the request runs to completion here, on
+        the caller's thread, as a batch of one. Above 1 it is handed to
+        the dispatcher with a future; its admission slot stays held while
+        it waits in the queue — ``max_inflight`` bounds queue depth,
+        which is the backpressure that lets batches assemble without
+        unbounded buffering.
+        """
+        request = _Request(is_write, offset, length, payload, time.perf_counter())
+        self._admission.acquire()
+        if self.batch_size > 1:
+            request.future = Future()
+            self._ensure_dispatcher()
+            self._queue.put(request)
+            return request
+        batch = [request]
+        self._dispatch(batch)
+        self._complete(batch)
+        return request
+
+    def _dispatch(self, batch: "list[_Request]") -> None:
+        """Execute one batch, leaving each request's outcome on it.
+
+        Single-request batches and fault-injected stores run request by
+        request through :meth:`_attempt` under :func:`retry_faults` —
+        the repair-and-retry discipline has no batched analogue (a fault
+        mid-batch must not re-execute the requests that already landed).
+        Everything else locks the batch's stripe union once under the
+        shared array lock and runs :meth:`ArrayStore.execute_batch`;
+        being the only foreground dispatcher while holding the array
+        lock shared is what satisfies ``execute_batch``'s
+        no-concurrent-writer contract for gap-bridged spans.
+        """
+        if len(batch) == 1 or self.store.fault_plan is not None:
+            for request in batch:
+                try:
+                    request.result = retry_faults(
+                        self._attempt, self._handle_fault, request, request
+                    )
+                except BaseException as exc:  # noqa: BLE001 - the caller's
+                    request.error = exc
+            return
+        stripes: set[int] = set()
+        for request in batch:
+            stripes.update(self._stripes(request))
+        ops = [
+            (
+                request.is_write,
+                request.offset,
+                request.payload if request.is_write else request.length,
+            )
+            for request in batch
+        ]
+        try:
+            with self._array.shared(), self._stripe_locks.locked(stripes):
+                results = self.store.execute_batch(ops)
+        except BaseException as exc:  # noqa: BLE001 - fan out to callers
+            for request in batch:
+                request.error = exc
+            return
+        for request, result in zip(batch, results):
+            request.result = result
+
+    def _stripes(self, request: _Request) -> range:
+        """The stripes ``request``'s byte range touches."""
+        per_stripe = self._per_stripe_bytes
+        return range(
+            request.offset // per_stripe,
+            (request.offset + request.length - 1) // per_stripe + 1,
+        )
+
+    def _attempt(self, request: _Request) -> np.ndarray | None:
+        """One execution of ``request`` under the shared array lock and
+        its stripes' locks."""
+        with self._array.shared(), self._stripe_locks.locked(
+            self._stripes(request)
+        ):
+            try:
+                if request.is_write:
+                    self.store.write_bytes(request.offset, request.payload)
+                    return None
+                return self.store.read_bytes(request.offset, request.length)
+            except FaultError as exc:
+                # Close the write hole *while the stripe locks are still
+                # held*: the journal replays absolute span values, so
+                # another writer slipping into this stripe before the
+                # roll-forward would have its parity deltas erased by the
+                # stale replay. A second fault mid-replay leaves the
+                # remainder pending for the exclusive handler.
+                try:
+                    self.store.quarantine_interrupted_write(exc.disk)
+                except FaultError:
+                    pass
+                raise
+
+    def _handle_fault(self, exc: FaultError) -> bool:
+        """Hand a request's fault to the repair controller; True when
+        the request may retry.
+
+        Runs under the exclusive array lock. The failed attempt's locks
+        unwound with the exception, so taking it cannot self-deadlock.
+        """
+        if self.repair is None:
+            return False
+        with self._array.exclusive():
+            if not self.repair.handle_fault(exc):
+                return False
         with self._stats_lock:
+            self.stats.retried_requests += 1
+        return True
+
+    def _complete(self, batch: "list[_Request]") -> None:
+        """Account for an executed batch and hand back its outcomes.
+
+        One rule for every mode: only requests that returned count as
+        completed — in the stats and toward the ``repair_every`` QoS
+        tick. Admission slots are released and queued requests' futures
+        resolved after the stats are in, then any repair ticks that came
+        due run; :meth:`_dispatch` has released every lock by now, so a
+        tick taking the exclusive array lock cannot self-deadlock.
+        """
+        now = time.perf_counter()
+        ticks = 0
+        with self._stats_lock:
+            self.batches += 1
+            self.batched_requests += len(batch)
             stats = self.stats
-            if is_write:
-                stats.writes += 1
-                stats.bytes_written += length
-            else:
-                stats.reads += 1
-                stats.bytes_read += length
-            stats.latencies_ms.append(elapsed_ms)
-            run_tick = False
+            before = stats.requests
+            for request in batch:
+                if request.error is None:
+                    stats.record(
+                        request.is_write, request.length,
+                        (now - request.started) * 1e3,
+                    )
             if self.repair_every:
-                self._completed_since_tick += 1
-                if self._completed_since_tick >= self.repair_every:
-                    self._completed_since_tick = 0
-                    run_tick = True
-        if run_tick:
+                every = self.repair_every
+                ticks = stats.requests // every - before // every
+        for request in batch:
+            self._admission.release()
+            if request.future is not None:
+                request.settle(request.future)
+        for _ in range(ticks):
             self._repair_tick()
 
-    def _execute(
-        self,
-        is_write: bool,
-        offset: int,
-        length: int,
-        payload: np.ndarray | None,
-    ) -> np.ndarray | None:
-        from repro.faults.inject import FaultError
-
-        stripes = [
-            run.stripe for run in self.device.mapping.byte_runs(offset, length)
-        ]
-        last_fault: FaultError | None = None
-        for attempt in range(_MAX_REQUEST_ATTEMPTS):
-            try:
-                with self._array.shared(), self._stripe_locks.locked(stripes):
-                    try:
-                        if is_write:
-                            self.store.write_bytes(offset, payload)
-                            return None
-                        return self.store.read_bytes(offset, length)
-                    except FaultError as exc:
-                        # Close the write hole *while the stripe locks
-                        # are still held*: the journal replays absolute
-                        # span values, so another writer slipping into
-                        # this stripe before the roll-forward would have
-                        # its parity deltas erased by the stale replay.
-                        # A second fault mid-replay leaves the remainder
-                        # pending for the exclusive handler below.
-                        try:
-                            self.store.quarantine_interrupted_write(exc.disk)
-                        except FaultError:
-                            pass
-                        raise
-            except FaultError as exc:
-                # All locks are released here: the shared/stripe context
-                # managers unwound with the exception, so taking the
-                # exclusive lock below cannot self-deadlock.
-                if self.repair is None:
-                    raise
-                with self._array.exclusive():
-                    if not self.repair.handle_fault(exc):
-                        raise
-                last_fault = exc
-                with self._stats_lock:
-                    self.stats.retried_requests += 1
-        raise IOError(
-            f"request at offset {offset} still faulting after "
-            f"{_MAX_REQUEST_ATTEMPTS} repair-and-retry attempts"
-        ) from last_fault
-
     # ------------------------------------------------------------------
-    # batched mode (single coalescing dispatcher)
+    # the coalescing dispatcher (batch_size > 1)
     # ------------------------------------------------------------------
-    def _enqueued(
-        self,
-        is_write: bool,
-        offset: int,
-        length: int,
-        payload: np.ndarray | None,
-    ) -> np.ndarray | None:
-        """Hand one admitted request to the dispatcher, await its result.
-
-        The admission slot stays held while the request waits in the
-        queue — ``max_inflight`` bounds queue depth, which is the
-        backpressure that lets batches assemble without unbounded
-        buffering.
-        """
-        self._ensure_dispatcher()
-        request = _QueuedRequest(is_write, offset, length, payload, Future())
-        self._queue.put(request)
-        return request.future.result()
-
     def _ensure_dispatcher(self) -> None:
         if self._dispatcher is not None:
             return
@@ -556,18 +575,20 @@ class BlockService:
         stripe) and :meth:`_compose` carves one batch out of it. On
         shutdown the remaining pending requests drain batch by batch.
         """
-        pending: "list[_QueuedRequest]" = []
+        pending: "list[_Request]" = []
         stopping = False
         while True:
             if not stopping:
                 stopping = self._collect(pending)
             if not pending:
                 return
-            self._dispatch(self._compose(pending))
+            batch = self._compose(pending)
+            self._dispatch(batch)
+            self._complete(batch)
             if stopping and not pending:
                 return
 
-    def _collect(self, pending: "list[_QueuedRequest]") -> bool:
+    def _collect(self, pending: "list[_Request]") -> bool:
         """Top up the pending buffer from the arrival queue.
 
         Blocks for the first request when the buffer is empty (no busy
@@ -586,7 +607,7 @@ class BlockService:
             if item is None:
                 return True
             pending.append(item)
-        if self.batch_size > 1 and len(pending) < self.batch_size:
+        if len(pending) < self.batch_size:
             deadline = time.perf_counter() + self._batch_wait_s
             while len(pending) < self.batch_size:
                 remaining = deadline - time.perf_counter()
@@ -618,7 +639,7 @@ class BlockService:
                 return True
             pending.append(nxt)
 
-    def _compose(self, pending: "list[_QueuedRequest]") -> "list[_QueuedRequest]":
+    def _compose(self, pending: "list[_Request]") -> "list[_Request]":
         """Carve one stripe-affine batch out of the pending buffer.
 
         Consecutive arrivals rarely share stripes, which caps span
@@ -643,16 +664,13 @@ class BlockService:
             batch = list(pending)
             pending.clear()
             return batch
-        per_stripe = self._per_stripe_bytes
         size = self.batch_size
         selected: list[int] = []
         batch_stripes: set[int] = set()
         blocked: set[int] = set()
         budget = self._stripe_budget
         for index, request in enumerate(pending):
-            first = request.offset // per_stripe
-            last = (request.offset + request.length - 1) // per_stripe
-            stripes = range(first, last + 1)
+            stripes = self._stripes(request)
             if blocked and any(s in blocked for s in stripes):
                 blocked.update(stripes)
                 continue
@@ -672,102 +690,8 @@ class BlockService:
             del pending[index]
         return batch
 
-    def _dispatch(self, batch: "list[_QueuedRequest]") -> None:
-        """Execute one batch and resolve its futures.
-
-        Single-request batches and fault-injected stores go through the
-        per-request path — ``_execute`` owns the repair-and-retry
-        discipline, which has no batched analogue (a fault mid-batch
-        must not re-execute the requests that already landed). Everything
-        else locks the batch's stripe union once under the shared array
-        lock and runs :meth:`ArrayStore.execute_batch`; being the only
-        foreground dispatcher while holding the array lock shared is
-        what satisfies ``execute_batch``'s no-concurrent-writer
-        contract for gap-bridged spans.
-        """
-        # Dispatcher-private counters: single thread, no lock needed.
-        self.batches += 1
-        self.batched_requests += len(batch)
-        try:
-            if len(batch) == 1 or self.store.fault_plan is not None:
-                for request in batch:
-                    try:
-                        request.future.set_result(
-                            self._execute(
-                                request.is_write, request.offset,
-                                request.length, request.payload,
-                            )
-                        )
-                    except BaseException as exc:  # noqa: BLE001 - caller's
-                        request.future.set_exception(exc)
-                return
-            stripes: set[int] = set()
-            for request in batch:
-                stripes.update(
-                    run.stripe
-                    for run in self.device.mapping.byte_runs(
-                        request.offset, request.length
-                    )
-                )
-            ops = [
-                (
-                    request.is_write,
-                    request.offset,
-                    request.payload if request.is_write else request.length,
-                )
-                for request in batch
-            ]
-            try:
-                with self._array.shared(), self._stripe_locks.locked(stripes):
-                    results = self.store.execute_batch(ops)
-            except BaseException as exc:  # noqa: BLE001 - fan out to callers
-                for request in batch:
-                    request.future.set_exception(exc)
-                return
-            for request, result in zip(batch, results):
-                request.future.set_result(result)
-        finally:
-            self._finish_batch(batch)
-
-    def _finish_batch(self, batch: "list[_QueuedRequest]") -> None:
-        """Slot release + stats for the dispatcher-owned batch members.
-
-        Async ``enqueue`` requests (``started`` set) are accounted here
-        in one stats-lock acquisition for the whole batch; synchronous
-        batched-mode callers (``started is None``) hold their own slot
-        and account for themselves in :meth:`_admitted`. Runs after the
-        stripe/array locks are released, so a QoS repair tick taking the
-        exclusive lock cannot self-deadlock.
-        """
-        owned = [r for r in batch if r.started is not None]
-        if not owned:
-            return
-        now = time.perf_counter()
-        for _ in owned:
-            self._admission.release()
-        ticks = 0
-        with self._stats_lock:
-            stats = self.stats
-            for request in owned:
-                if request.is_write:
-                    stats.writes += 1
-                    stats.bytes_written += request.length
-                else:
-                    stats.reads += 1
-                    stats.bytes_read += request.length
-                stats.latencies_ms.append((now - request.started) * 1e3)
-                if self.repair_every:
-                    self._completed_since_tick += 1
-                    if self._completed_since_tick >= self.repair_every:
-                        self._completed_since_tick = 0
-                        ticks += 1
-        for _ in range(ticks):
-            self._repair_tick()
-
     def _repair_tick(self) -> None:
         """One throttled repair tick under the exclusive array lock."""
-        if self.repair is None:
-            return
         with self._array.exclusive():
             self.repair.tick()
         with self._stats_lock:

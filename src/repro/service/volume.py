@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro._util import as_bytes_array
 from repro.service.scheduler import ServiceStats
 from repro.volume.manager import ShardSpec, VolumeManager
 from repro.volume.restripe import Restriper, RestripeStats
@@ -147,13 +148,7 @@ class VolumeService:
                 gate.release()
         elapsed_ms = (time.perf_counter() - started) * 1e3
         with self._stats_lock:
-            if is_write:
-                self.stats.writes += 1
-                self.stats.bytes_written += length
-            else:
-                self.stats.reads += 1
-                self.stats.bytes_read += length
-            self.stats.latencies_ms.append(elapsed_ms)
+            self.stats.record(is_write, length, elapsed_ms)
         return result
 
     # ------------------------------------------------------------------
@@ -165,11 +160,7 @@ class VolumeService:
 
     def write(self, offset: int, data: bytes | bytearray | np.ndarray) -> None:
         """Write ``data`` at volume ``offset``."""
-        buf = (
-            np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-            if isinstance(data, np.ndarray)
-            else np.frombuffer(bytes(data), dtype=np.uint8)
-        )
+        buf = as_bytes_array(data)
         self._admitted(True, offset, buf.size, buf)
 
     def submit_read(self, offset: int, length: int) -> "Future[bytes]":

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 import numpy as np
 
+from repro._util import as_bytes_array, check_byte_range
 from repro.codes.base import ArrayCode, Cell, Decoder
 from repro.raid.mapping import WIDE_WRITE_STRIPES, ChunkRun
 from repro.raid.planner import BatchItem, RequestPlanner, RunPlan
@@ -779,12 +780,10 @@ class ArrayStore:
             raise ValueError(
                 f"chunks must be (k, {self.chunk_bytes}), got {chunks.shape}"
             )
-        if start < 0 or start + chunks.shape[0] > self.capacity_chunks:
-            raise ValueError("write beyond store capacity")
+        offset = start * self.chunk_bytes
+        check_byte_range(offset, chunks.nbytes, self.capacity_bytes, "store")
         self._reset_last_io()
-        self._route_write(
-            start * self.chunk_bytes, np.ascontiguousarray(chunks).reshape(-1)
-        )
+        self._route_write(offset, np.ascontiguousarray(chunks).reshape(-1))
 
     def write_bytes(self, offset: int, data: bytes | np.ndarray) -> None:
         """Write ``data`` at byte ``offset``; any alignment is accepted.
@@ -794,15 +793,8 @@ class ArrayStore:
         stripe path loads the stripe), so partial-chunk RMW costs no
         extra chunk I/Os over an aligned write of the same span.
         """
-        buf = (
-            np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-            if isinstance(data, np.ndarray)
-            else np.frombuffer(bytes(data), dtype=np.uint8)
-        )
-        if buf.size == 0:
-            raise ValueError("cannot write zero bytes")
-        if offset < 0 or offset + buf.size > self.capacity_bytes:
-            raise ValueError("write beyond store capacity")
+        buf = as_bytes_array(data)
+        check_byte_range(offset, buf.size, self.capacity_bytes, "store")
         self._reset_last_io()
         self._route_write(offset, buf)
 
@@ -1027,14 +1019,10 @@ class ArrayStore:
 
     def read_chunks(self, start: int, count: int) -> np.ndarray:
         """Read ``count`` logical chunks from ``start`` (degraded-safe)."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if start < 0 or start + count > self.capacity_chunks:
-            raise ValueError("read beyond store capacity")
+        offset, length = start * self.chunk_bytes, count * self.chunk_bytes
+        check_byte_range(offset, length, self.capacity_bytes, "store")
         self._reset_last_io()
-        flat = self._route_read(start * self.chunk_bytes,
-                                count * self.chunk_bytes)
-        return flat.reshape(count, self.chunk_bytes)
+        return self._route_read(offset, length).reshape(count, self.chunk_bytes)
 
     def read_bytes(self, offset: int, length: int) -> np.ndarray:
         """Read ``length`` bytes at ``offset`` (degraded-safe).
@@ -1042,10 +1030,7 @@ class ArrayStore:
         Chunk-granular underneath — partial head/tail chunks are read
         whole and sliced, exactly as the planner prices them.
         """
-        if length <= 0:
-            raise ValueError("length must be positive")
-        if offset < 0 or offset + length > self.capacity_bytes:
-            raise ValueError("read beyond store capacity")
+        check_byte_range(offset, length, self.capacity_bytes, "store")
         self._reset_last_io()
         return self._route_read(offset, length)
 
@@ -1135,23 +1120,12 @@ class ArrayStore:
         normalized: list[tuple[bool, int, np.ndarray | int]] = []
         for is_write, offset, payload in ops:
             if is_write:
-                buf = (
-                    np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1)
-                    if isinstance(payload, np.ndarray)
-                    else np.frombuffer(bytes(payload), dtype=np.uint8)
-                )
-                if buf.size == 0:
-                    raise ValueError("cannot write zero bytes")
-                if offset < 0 or offset + buf.size > self.capacity_bytes:
-                    raise ValueError("write beyond store capacity")
-                normalized.append((True, offset, buf))
+                payload = as_bytes_array(payload)
+                length = payload.size
             else:
-                length = int(payload)  # type: ignore[arg-type]
-                if length <= 0:
-                    raise ValueError("length must be positive")
-                if offset < 0 or offset + length > self.capacity_bytes:
-                    raise ValueError("read beyond store capacity")
-                normalized.append((False, offset, length))
+                payload = length = int(payload)  # type: ignore[arg-type]
+            check_byte_range(offset, length, self.capacity_bytes, "store")
+            normalized.append((is_write, offset, payload))
         if not normalized:
             return []
         self._reset_last_io()

@@ -48,6 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro._util import as_bytes_array, check_byte_range
 from repro.codes import make_code
 from repro.raid.mapping import ArrayMapping
 from repro.service.locks import ArrayRWLock, StripeLockManager
@@ -389,14 +390,8 @@ class VolumeManager:
     # ------------------------------------------------------------------
     def write_bytes(self, offset: int, data: bytes | np.ndarray) -> None:
         """Write ``data`` at volume byte ``offset`` (any alignment)."""
-        buf = (
-            np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-            if isinstance(data, np.ndarray)
-            else np.frombuffer(bytes(data), dtype=np.uint8)
-        )
-        if buf.size == 0:
-            raise ValueError("cannot write zero bytes")
-        self._check_range(offset, buf.size)
+        buf = as_bytes_array(data)
+        check_byte_range(offset, buf.size, self.volume_bytes, "volume")
         with self._rwlock.shared():
             # Resolve runs under the volume lock: finish_restripe swaps
             # the mapping and shard list under the exclusive lock, so a
@@ -413,7 +408,7 @@ class VolumeManager:
 
     def read_bytes(self, offset: int, length: int) -> np.ndarray:
         """Read ``length`` bytes at volume byte ``offset``."""
-        self._check_range(offset, length)
+        check_byte_range(offset, length, self.volume_bytes, "volume")
         out = np.empty(length, dtype=np.uint8)
         with self._rwlock.shared():
             # Same ordering rule as write_bytes: the mapping may only
@@ -427,17 +422,6 @@ class VolumeManager:
                         out[at : at + size] = data[done : done + size]
                         done += size
         return out
-
-    def _check_range(self, offset: int, length: int) -> None:
-        if offset < 0:
-            raise ValueError(f"negative offset {offset}")
-        if length <= 0:
-            raise ValueError(f"non-positive length {length}")
-        if offset + length > self.volume_bytes:
-            raise ValueError(
-                f"range [{offset}, {offset + length}) exceeds volume "
-                f"capacity {self.volume_bytes}"
-            )
 
     # ------------------------------------------------------------------
     # migration plumbing (driven by repro.volume.Restriper)

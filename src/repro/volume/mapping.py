@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro._util import check_byte_range
+
 __all__ = ["VolumeMapping", "VolumeRun"]
 
 
@@ -108,15 +110,7 @@ class VolumeMapping:
 
     def extent_range(self, offset: int, length: int) -> range:
         """The extent indices a byte range touches (validated)."""
-        if offset < 0:
-            raise ValueError(f"negative offset {offset}")
-        if length <= 0:
-            raise ValueError(f"non-positive length {length}")
-        if offset + length > self.volume_bytes:
-            raise ValueError(
-                f"range [{offset}, {offset + length}) exceeds volume "
-                f"capacity {self.volume_bytes}"
-            )
+        check_byte_range(offset, length, self.volume_bytes, "volume")
         return range(
             offset // self.extent_bytes,
             (offset + length - 1) // self.extent_bytes + 1,
