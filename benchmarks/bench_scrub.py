@@ -169,9 +169,11 @@ def _clean_replay(trace):
 
 def test_degraded_replay_throttle_impact():
     """Tighter repair throttle -> longer degraded window -> more chunk
-    reads; contents identical at every setting."""
+    reads; contents identical at every setting, and every rebuilt stripe
+    costs exactly its footprint in chunk I/O."""
     trace = generate_trace("src2_0", requests=REQUESTS, seed=42)
     reference = _clean_replay(trace)
+    footprint = len(make_code("tip", N).nonempty_positions)
     rows = []
     sweep = {}
     reads_by_throttle = []
@@ -180,6 +182,10 @@ def test_degraded_replay_throttle_impact():
         assert np.array_equal(
             np.asarray(image), np.asarray(reference)
         ), throttle
+        # Survivors are read once and the failed cells written once.
+        assert (
+            stats.rebuild_io.total_chunks == stats.stripes_rebuilt * footprint
+        ), (throttle, stats.rebuild_io, stats.stripes_rebuilt)
         reads = result.io.chunks_read
         reads_by_throttle.append(reads)
         rows.append([

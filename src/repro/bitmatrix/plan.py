@@ -27,9 +27,11 @@ flat program that executes with **zero per-step allocation**:
   sized from the host calibration in :mod:`repro.bitmatrix.tuning` —
   the measured effective cache divided by the plan's row footprint,
   floored so per-call dispatch overhead stays amortized — instead of a
-  hard-coded footprint guess. All tile boundaries are 64-byte multiples
-  so ``uint64`` views never fall back mid-sweep; an explicit
-  ``tile_bytes`` is rounded **up** to the next 64-byte multiple.
+  hard-coded footprint guess. Plans no wider than the clamp floor
+  :data:`_TILE_MIN` always run as one tile and never trigger the
+  calibration. All tile boundaries are 64-byte multiples so ``uint64``
+  views never fall back mid-sweep; an explicit ``tile_bytes`` is
+  rounded **up** to the next 64-byte multiple.
 
 Plans are self-contained and picklable, which is what lets
 :mod:`repro.codec.parallel` ship them to worker processes that execute
@@ -266,7 +268,14 @@ class CompiledPlan:
         64-byte multiple. Hosts whose caches swallow the whole working
         set naturally get large tiles (fewer dispatches); small-cache
         hosts get tiles that actually fit.
+
+        A width up to :data:`_TILE_MIN` is one tile of its 64-byte
+        rounding whatever the host measures (the clamp floor covers
+        it), so it returns that without calling :func:`host_profile`:
+        request-path encodes and decodes never pay the calibration.
         """
+        if 0 < width <= _TILE_MIN:
+            return -(-width // TILE_ALIGN) * TILE_ALIGN
         rows = self.num_inputs + len(self.outputs) + self.num_workspace
         profile = host_profile()
         cache_tile = profile.effective_cache_bytes // max(rows, 1)
@@ -358,48 +367,47 @@ class CompiledPlan:
             tile = self.default_tile(width)
         else:
             tile = round_tile_bytes(tile_bytes)
-        ws_rows = list(self._workspace(min(tile, width)))
-        runs = self.runs
-        wide = (
-            width >= _WIDE_WORD_MIN
-            and _rows_u64_viewable(ins)
-            and _rows_u64_viewable(outs)
-            and _rows_u64_viewable(ws_rows)
+        arena = self._workspace(min(tile, width))
+        w8 = width - (width & 7)
+        words = _u64_rows(ins + outs, w8) if width >= _WIDE_WORD_MIN else None
+        if words is None:  # narrow, strided or misaligned: uint8
+            self._sweep(ins, outs, list(arena), width, tile)
+            return
+        # Tiles are 64-byte multiples, so word tiles split at the same
+        # byte boundaries; only a sub-8-byte tail runs as uint8.
+        n = len(ins)
+        self._sweep(
+            words[:n], words[n:], list(arena.view(np.uint64)), w8 // 8, tile // 8
         )
-        for lo in range(0, width, tile):
-            hi = min(lo + tile, width)
-            span = hi - lo
-            if wide and span >= 8:
-                # Tile starts are 64-byte multiples, so lo preserves the
-                # rows' 8-byte base alignment; only the final tile can
-                # carry a ragged sub-8-byte tail.
-                w8 = span - (span & 7)
-                self._run_tile(
-                    (
-                        [r[lo : lo + w8].view(np.uint64) for r in ins],
-                        [r[lo : lo + w8].view(np.uint64) for r in outs],
-                        [r[:w8].view(np.uint64) for r in ws_rows],
-                    ),
-                    runs,
-                )
-                if w8 != span:
-                    self._run_tile(
-                        (
-                            [r[lo + w8 : hi] for r in ins],
-                            [r[lo + w8 : hi] for r in outs],
-                            [r[w8:span] for r in ws_rows],
-                        ),
-                        runs,
-                    )
-            else:
-                self._run_tile(
-                    (
-                        [r[lo:hi] for r in ins],
-                        [r[lo:hi] for r in outs],
-                        [r[:span] for r in ws_rows],
-                    ),
-                    runs,
-                )
+        if w8 != width:
+            self._sweep(
+                [r[w8:] for r in ins], [r[w8:] for r in outs], list(arena),
+                width - w8, tile,
+            )
+
+    def _sweep(
+        self, ins: list, outs: list, ws: list, length: int, tile: int
+    ) -> None:
+        """Run the fused program over ``length`` elements of the input
+        and output row views, ``tile`` elements at a time.
+
+        Input and output rows are exactly ``length`` long; workspace
+        rows ``ws`` are arena rows, trimmed to each tile. Rows are
+        sliced per tile only when more than one tile runs.
+        """
+        if length <= tile:
+            self._run_tile((ins, outs, [r[:length] for r in ws]), self.runs)
+            return
+        for lo in range(0, length, tile):
+            hi = min(lo + tile, length)
+            self._run_tile(
+                (
+                    [r[lo:hi] for r in ins],
+                    [r[lo:hi] for r in outs],
+                    [r[: hi - lo] for r in ws],
+                ),
+                self.runs,
+            )
 
     @staticmethod
     def _run_tile(bufs: tuple[list, list, list], runs: list[tuple]) -> None:
@@ -472,11 +480,18 @@ class CompiledPlan:
 _EMPTY_WS = np.empty((0, 0), dtype=np.uint8)
 
 
-def _rows_u64_viewable(rows: Sequence[np.ndarray]) -> bool:
-    """True when every row is contiguous and 8-byte aligned at its base.
+def _u64_rows(rows: Sequence[np.ndarray], nbytes: int) -> list | None:
+    """``uint64`` views of every row's first ``nbytes`` (a multiple of
+    8), or None when a row is strided or not 8-byte aligned at its base.
 
     Tile offsets are 64-byte multiples, so base alignment is the only
     per-row condition needed for interior ``uint64`` views."""
-    return all(
-        row.strides[0] == 1 and row.ctypes.data % 8 == 0 for row in rows
-    )
+    views = []
+    for row in rows:
+        if row.strides[0] != 1:
+            return None
+        view = row[:nbytes].view(np.uint64)
+        if not view.flags.aligned:
+            return None
+        views.append(view)
+    return views

@@ -25,6 +25,12 @@ Results are cached per process in a :class:`HostProfile`;
 :func:`host_profile` is what :meth:`CompiledPlan.default_tile` and the
 roofline stage of ``benchmarks/bench_engine.py`` consume. Tests pin the
 profile with :func:`set_host_profile` to make tile policy deterministic.
+
+The measurement is not free: the streaming buffers add about 64 MiB to
+the process's peak memory and the whole calibration takes ~0.1 s. It
+runs only for plans wider than the tile clamp floor
+(:data:`repro.bitmatrix.plan._TILE_MIN`, 32 KiB), where the answer can
+change the tile; narrower request-path plans never trigger it.
 """
 
 from __future__ import annotations
@@ -172,8 +178,8 @@ def measure_effective_cache_bytes(
 def host_profile() -> HostProfile:
     """The cached per-process host calibration (measured on first call).
 
-    Total measurement cost is tens of milliseconds, paid once; every
-    subsequent call returns the cached profile.
+    The measurement costs ~0.1 s and ~64 MiB of peak memory, paid once;
+    every subsequent call returns the cached profile.
     """
     global _profile
     if _profile is None:

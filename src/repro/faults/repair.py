@@ -104,7 +104,12 @@ class RepairController:
     # ------------------------------------------------------------------
     @property
     def stripes_per_tick(self) -> int:
-        """The tick's chunk budget expressed in whole stripes (>= 1)."""
+        """The tick's chunk budget expressed in whole stripes (>= 1).
+
+        A stripe's footprint is its real rebuild I/O: the surviving
+        cells are read once and the failed cells written once, so the
+        budget is what a rebuild tick spends.
+        """
         footprint = max(1, len(self.store.code.nonempty_positions))
         return max(1, self.max_chunks_per_tick // footprint)
 

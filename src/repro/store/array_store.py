@@ -79,6 +79,9 @@ _MODE_TO_STRATEGY = {"auto": "delta", "delta": "delta-always", "stripe": "stripe
 #: span — when vectored I/O is absent.
 _HAS_PREADV = hasattr(os, "preadv")
 _HAS_PWRITEV = hasattr(os, "pwritev")
+#: Buffers one ``pwritev`` call takes at most (``IOV_MAX`` on Linux and
+#: the BSDs); a longer gather list goes out as consecutive calls.
+_IOV_MAX = 1024
 
 
 class DiskFailedError(RuntimeError):
@@ -458,8 +461,9 @@ class ArrayStore:
         buffer and passes one slice of it; the wide whole-stripe write
         passes one view per chunk of its grid. Either way the kernel
         gathers straight from numpy memory, with no join copy, and a
-        short write resumes mid-list. Platforms without ``pwritev`` fall
-        back to :meth:`_raw_write_span` (one write of the joined bytes).
+        short write resumes mid-list, as does a list longer than
+        :data:`_IOV_MAX`. Platforms without ``pwritev`` fall back to
+        :meth:`_raw_write_span` (one write of the joined bytes).
         """
         if not _HAS_PWRITEV:
             self._raw_write_span(disk, offset, b"".join(parts))
@@ -469,7 +473,7 @@ class ArrayStore:
         cursor = offset
         calls = 0
         while True:
-            written = os.pwritev(fd, parts, cursor)
+            written = os.pwritev(fd, parts[:_IOV_MAX], cursor)
             calls += 1
             remaining -= written
             if not remaining:
@@ -633,18 +637,29 @@ class ArrayStore:
             self._count(data * count, parity * count, wrote=False)
         return wide
 
-    def _store_stripe(
-        self, stripe: int, data: np.ndarray, writable: frozenset[int]
+    def _write_columns(
+        self, first: int, grid: np.ndarray, cols: Sequence[int]
     ) -> None:
-        """Rebuild's write-back of one stripe; ``writable`` overrides the
-        failed-column skip for the columns being rebuilt."""
-        span = self.code.rows * self.chunk_bytes
-        for col in range(self.code.cols):
-            if col in self.failed and col not in writable:
-                continue
-            self._write_span(col, stripe * span, data[:, col, :].tobytes())
-            data_cells, parity_cells = self._col_profile[col]
-            self._count(data_cells, parity_cells, wrote=True)
+        """Write columns ``cols`` of a wide grid, one gather write each.
+
+        ``grid`` holds consecutive stripes from ``first`` in the wide
+        layout of :meth:`_load_stripe_batch`. Each disk gets one span
+        write over per-chunk views of its column, and only the chunks
+        written are metered. Both the wide whole-stripe write and the
+        rebuild write-back go through here.
+        """
+        rows, chunk = self.code.rows, self.chunk_bytes
+        count = grid.shape[2] // chunk
+        by_stripe = grid.reshape(rows, self.code.cols, count, chunk)
+        offset = first * rows * chunk
+        for col in cols:
+            column = by_stripe[:, col]
+            self._write_span(
+                col, offset,
+                [column[row, i] for i in range(count) for row in range(rows)],
+            )
+            data, parity = self._col_profile[col]
+            self._count(data * count, parity * count, wrote=True)
 
     # ------------------------------------------------------------------
     # write journal & write watchers (crash-consistency support)
@@ -985,8 +1000,8 @@ class ArrayStore:
 
         ``grid`` holds consecutive stripes from ``first`` in the wide
         layout of :meth:`_load_stripe_batch`. The transaction has one
-        record per surviving disk span, and each surviving disk gets one
-        gather write over per-chunk views of the grid.
+        record per surviving disk span, and :meth:`_write_columns`
+        gives each surviving disk one gather write.
         """
         rows, cols, chunk = self.code.rows, self.code.cols, self.chunk_bytes
         count = grid.shape[2] // chunk
@@ -1007,14 +1022,7 @@ class ArrayStore:
                     )
                 )
         self._seal_journal()
-        for col in survivors:
-            column = by_stripe[:, col]
-            self._write_span(
-                col, offset,
-                [column[row, i] for i in range(count) for row in range(rows)],
-            )
-            data, parity = self._col_profile[col]
-            self._count(data * count, parity * count, wrote=True)
+        self._write_columns(first, grid, survivors)
         self._commit_journal()
 
     def read_chunks(self, start: int, count: int) -> np.ndarray:
@@ -1360,8 +1368,9 @@ class ArrayStore:
         Batched pipeline: each round reads ``rebuild_batch`` stripes as
         one wide stripe (one contiguous span read per surviving disk),
         bulk-decodes it with the compiled recovery plan — fanned out over
-        ``batch_workers`` processes when configured — and writes the
-        stripes back.
+        ``batch_workers`` processes when configured — and writes back
+        only the reconstructed columns, one gather write per failed disk.
+        Surviving disks are read once and never written.
 
         Exception-safe: ``failed`` stays marked until *every* stripe has
         been decoded and stored, so an error partway through (I/O,
@@ -1399,9 +1408,8 @@ class ArrayStore:
             # Commit coalesced deltas to surviving parity and drop the
             # cache before reading stripes straight off the disks.
             self.cache.drop()
-        failed = frozenset(self.failed)
+        failed = sorted(self.failed)
         decoder = self._current_decoder()
-        rows, cols, chunk = self.code.rows, self.code.cols, self.chunk_bytes
         batch = max(1, min(self.rebuild_batch, count or 1))
         for base in range(start, start + count, batch):
             n = min(batch, start + count - base)
@@ -1409,15 +1417,13 @@ class ArrayStore:
                 base, n, shared=self.batch_workers > 1
             )
             decoder.decode_columns(wide, workers=self.batch_workers)
-            by_stripe = wide.reshape(rows, cols, n, chunk)
-            for i in range(n):
-                self._store_stripe(
-                    base + i, by_stripe[:, :, i, :], writable=failed
-                )
+            # Survivors already hold these bytes: write back only the
+            # reconstructed columns.
+            self._write_columns(base, wide, failed)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "store: rebuilt stripes [%d, %d) for disks %s",
-                start, start + count, sorted(failed),
+                start, start + count, failed,
             )
         return count
 

@@ -172,25 +172,28 @@ class TestGeometryGuard:
 class TestRebuildCrashSafety:
     """An exception mid-rebuild must leave the store marked degraded."""
 
-    def _crash_after(self, store, stripes_before_crash):
-        """Patch _store_stripe to blow up partway through a rebuild."""
-        original = store._store_stripe
+    def _crash_after(self, store, writes_before_crash):
+        """Patch _write_span to blow up partway through a rebuild's
+        write-back. One stripe per batch, so with one failed disk each
+        write-back span is one stripe's."""
+        store.rebuild_batch = 1
+        original = store._write_span
         calls = {"n": 0}
 
-        def crashing(stripe, data, writable=frozenset()):
-            if calls["n"] >= stripes_before_crash:
+        def crashing(disk, offset, data):
+            if calls["n"] >= writes_before_crash:
                 raise IOError("injected crash: backing device vanished")
             calls["n"] += 1
-            original(stripe, data, writable=writable)
+            original(disk, offset, data)
 
-        store._store_stripe = crashing
+        store._write_span = crashing
         return original
 
     def test_mid_rebuild_crash_keeps_failed_marked(self, store):
         data = random_chunks(store.capacity_chunks, seed=23)
         store.write_chunks(0, data)
         store.fail_disk(2)
-        original = self._crash_after(store, stripes_before_crash=1)
+        original = self._crash_after(store, writes_before_crash=1)
         with pytest.raises(IOError, match="injected crash"):
             store.rebuild()
         # Still degraded: the failure set was not cleared early.
@@ -200,7 +203,7 @@ class TestRebuildCrashSafety:
             store.read_chunks(0, store.capacity_chunks), data
         )
         # A retry after the fault clears finishes the job.
-        store._store_stripe = original
+        store._write_span = original
         assert store.rebuild() == store.stripes
         assert store.failed == set()
         assert store.scrub() == []
@@ -212,7 +215,7 @@ class TestRebuildCrashSafety:
         data = random_chunks(8, seed=24)
         store.write_chunks(0, data)
         store.fail_disk(0)
-        self._crash_after(store, stripes_before_crash=0)
+        self._crash_after(store, writes_before_crash=0)
         with pytest.raises(IOError):
             store.rebuild()
         assert store.failed == {0}
