@@ -14,6 +14,7 @@ from collections.abc import Iterable
 import numpy as np
 
 __all__ = [
+    "IOV_MAX",
     "as_bytes_array",
     "check_byte_range",
     "is_prime",
@@ -93,6 +94,12 @@ def mod(value: int, modulus: int) -> int:
     """Mathematical mod (always in ``0..modulus-1``), mirroring the paper's
     angle-bracket notation ``<i>_p``."""
     return value % modulus
+
+
+#: Buffers one vectored I/O call (``preadv``/``pwritev``/``writev``)
+#: takes at most (``IOV_MAX`` on Linux and the BSDs); a longer list goes
+#: out as consecutive calls.
+IOV_MAX = 1024
 
 
 def as_bytes_array(data: bytes | bytearray | np.ndarray) -> np.ndarray:

@@ -244,6 +244,19 @@ class ArrayCode:
         )
 
     @cached_property
+    def roles(self) -> dict[Position, int]:
+        """Metering role of every stored cell: 0 for data, 1 for parity.
+
+        EMPTY cells are absent: they carry no information and are never
+        metered. Chunk counters index their (data, parity) split by this
+        table instead of calling :meth:`kind` once per chunk.
+        """
+        return {
+            pos: int(self._grid[pos] == Cell.PARITY)
+            for pos in self.nonempty_positions
+        }
+
+    @cached_property
     def storage_efficiency(self) -> float:
         """Fraction of stored elements that hold data (1 - overhead)."""
         return self.num_data / len(self.nonempty_positions)

@@ -65,9 +65,9 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from repro.codes.base import ArrayCode, Cell, Position
+from repro.codes.base import ArrayCode, Position
 from repro.raid.mapping import ArrayMapping, ChunkRun
-from repro.raid.planner import RequestPlanner
+from repro.raid.planner import RequestPlanner, RunPlan
 from repro.store.metering import IoCounters
 
 logger = logging.getLogger(__name__)
@@ -280,6 +280,7 @@ class StripeCache:
             code, chunk_bytes, write_strategy="delta"
         )
         self.stats = CacheStats()
+        self._roles = code.roles
         self._stripes: OrderedDict[int, ParityDeltaAccumulator] = OrderedDict()
         # One reentrant lock guards every cache transition (LRU order,
         # accumulator fold, flush, eviction, stats). Coarse by design:
@@ -319,11 +320,11 @@ class StripeCache:
     # metered backend I/O
     # ------------------------------------------------------------------
     def _meter(self, pos: Position, *, wrote: bool) -> None:
-        kind = self.code.kind(*pos)
-        if kind == Cell.EMPTY:
+        role = self._roles.get(pos)
+        if role is None:
             return
         counters = self.stats.io
-        if kind == Cell.PARITY:
+        if role:
             if wrote:
                 counters.parity_chunks_written += 1
             else:
@@ -342,31 +343,22 @@ class StripeCache:
         self.backend.write_element(stripe, pos, chunk)
         self._meter(pos, wrote=True)
 
-    def _count_raw_positions(
-        self, positions: Iterable[Position], *, wrote: bool
-    ) -> None:
+    def _price_raw(self, plan: RunPlan, times: int = 1) -> None:
+        """Add ``times`` executions of ``plan`` to the uncached price."""
+        data_read, parity_read, data_written, parity_written = plan.counts
         counters = self.stats.raw_io
-        for pos in positions:
-            kind = self.code.kind(*pos)
-            if kind == Cell.EMPTY:
-                continue
-            if kind == Cell.PARITY:
-                if wrote:
-                    counters.parity_chunks_written += 1
-                else:
-                    counters.parity_chunks_read += 1
-            elif wrote:
-                counters.data_chunks_written += 1
-            else:
-                counters.data_chunks_read += 1
+        counters.data_chunks_read += times * data_read
+        counters.parity_chunks_read += times * parity_read
+        counters.data_chunks_written += times * data_written
+        counters.parity_chunks_written += times * parity_written
 
     def _price_raw_write(self, run: ChunkRun) -> None:
-        plan = self._raw.plan_write_run(
-            run.start, run.length, (),
-            partial=run.is_partial(self.chunk_bytes),
+        self._price_raw(
+            self._raw.plan_write_run(
+                run.start, run.length, (),
+                partial=run.is_partial(self.chunk_bytes),
+            )
         )
-        self._count_raw_positions(plan.reads, wrote=False)
-        self._count_raw_positions(plan.writes, wrote=True)
 
     # ------------------------------------------------------------------
     # LRU bookkeeping
@@ -440,20 +432,17 @@ class StripeCache:
         Every element is replaced, so cached state for the stripes —
         including unflushed parity deltas — is obsolete and dropped.
         """
+        whole = self.code.num_data
+        self._price_raw(self._raw.plan_write_run(0, whole), len(runs))
         for run in runs:
-            self._price_raw_write(run)
             self.invalidate(run.stripe)
         self.backend.write_stripes(runs[0].stripe, payload)
-        failed = set(self.backend.failed)
-        stored = [
-            pos for pos in self.code.nonempty_positions if pos[1] not in failed
-        ]
-        parity = sum(
-            1 for pos in stored if self.code.kind(*pos) == Cell.PARITY
-        )
-        self.stats.io.data_chunks_written += len(runs) * (len(stored) - parity)
-        self.stats.io.parity_chunks_written += len(runs) * parity
-        self.stats.bypass_chunks += len(runs) * self.code.num_data
+        # The backend writes every stored element of its surviving columns.
+        stored = self._raw.plan_write_run(0, whole, tuple(self.backend.failed))
+        _, _, data_written, parity_written = stored.counts
+        self.stats.io.data_chunks_written += len(runs) * data_written
+        self.stats.io.parity_chunks_written += len(runs) * parity_written
+        self.stats.bypass_chunks += len(runs) * whole
 
     def _absorb_run(self, run: ChunkRun, payload: np.ndarray) -> None:
         state = self._touch(run.stripe)
@@ -516,13 +505,7 @@ class StripeCache:
                     out[cursor : cursor + take] = chunk[skip : skip + take]
                     cursor += take
                     consumed += take
-                self._count_raw_positions(
-                    (
-                        self.code.data_positions[run.start + i]
-                        for i in range(run.length)
-                    ),
-                    wrote=False,
-                )
+                self._price_raw(self._raw.plan_read_run(run.start, run.length))
         return out
 
     def apply_batch(

@@ -23,11 +23,16 @@ pre-read/write sets derived from the update-penalty closure, and
 full-stripe runs written with no pre-reads. ``delta`` / ``delta-always``
 / ``stripe`` are the *executable* models — exactly what the store does:
 
-* **delta** — per run, take the delta read-modify-write fast path (read
-  the old data chunks and the generator-derived dependent parities, XOR
-  the delta through, write back) when it costs fewer chunk I/Os than the
-  full-stripe path, else load/re-encode/store. Degraded runs always
-  reconstruct. This is the store's ``write_mode="auto"``.
+* **delta** — per run, the cheapest of three paths in chunk I/Os: the
+  delta read-modify-write fast path (read the old data chunks and the
+  generator-derived dependent parities, XOR the delta through, write
+  back); reconstruct-write, ``"rcw"`` (read every data chunk the run
+  does not fully overwrite, re-encode, write the run's chunks and
+  their dependent parities); or the full-stripe path
+  (load/re-encode/store, or for an aligned whole-stripe overwrite just
+  encode/store). Ties keep the stripe path first, then delta. Degraded
+  runs always reconstruct the stripe. This is the store's
+  ``write_mode="auto"``.
 * **delta-always** / **stripe** — force one path (delta still falls
   back to the stripe path while degraded).
 
@@ -109,15 +114,21 @@ class RunPlan:
     """Executable plan for one per-stripe run (positions, not LBAs).
 
     ``path`` is ``"delta"`` (read-modify-write on exactly the listed
-    cells) or ``"stripe"`` (load the listed ``reads``, reconstruct if
-    ``decode``, re-encode, store the listed ``writes``). Positions are
-    stripe-relative grid cells; the caller maps them to disks/LBAs.
+    cells), ``"rcw"`` (read the listed data cells, splice, re-encode,
+    write the listed cells) or ``"stripe"`` (load the listed ``reads``,
+    reconstruct if ``decode``, re-encode, store the listed ``writes``).
+    Positions are stripe-relative grid cells; the caller maps them to
+    disks/LBAs. ``counts`` is the plan's chunk I/O split by role —
+    (data reads, parity reads, data writes, parity writes) — fixed when
+    the planner builds it, so executing or pricing a plan meters it
+    without looking at its cells.
     """
 
     path: str
     reads: tuple[Position, ...]
     writes: tuple[Position, ...]
     decode: bool = False
+    counts: tuple[int, int, int, int] = (0, 0, 0, 0)
 
     @property
     def total_ios(self) -> int:
@@ -210,9 +221,10 @@ class BatchGroup:
     """All runs of a batch that land on one stripe, in arrival order.
 
     ``batchable`` marks groups whose every run takes the delta fast
-    path; a group holding any stripe-path or decoding run is executed
-    by the serial per-run machinery instead (it meters itself and is
-    excluded from the batch spans and ``BatchPlan.counts``).
+    path or reconstruct-write; a group holding any stripe-path or
+    decoding run is executed by the serial per-run machinery instead
+    (it meters itself and is excluded from the batch spans and
+    ``BatchPlan.counts``).
     """
 
     stripe: int
@@ -365,43 +377,73 @@ class RequestPlanner:
             )
         code = self.code
         full_overwrite = length == code.num_data and not partial
-        use_delta = False
-        if not failed:
-            if strategy == "delta-always":
-                use_delta = True
-            elif strategy == "delta":
-                use_delta = (
-                    self._delta_plan(start, length).total_ios
-                    < self._stripe_cost(full_overwrite)
-                )
-        if use_delta:
-            return self._delta_plan(start, length)
         survivors = tuple(
             pos for pos in code.nonempty_positions if pos[1] not in failed
         )
         if full_overwrite:
-            return RunPlan("stripe", (), survivors, decode=False)
-        return RunPlan(
-            "stripe", survivors, survivors, decode=bool(failed)
-        )
+            stripe = self._plan("stripe", (), survivors)
+        else:
+            stripe = self._plan(
+                "stripe", survivors, survivors, decode=bool(failed)
+            )
+        if failed or strategy == "stripe":
+            return stripe
+        delta = self._delta_plan(start, length)
+        if strategy == "delta-always":
+            return delta
+        rcw = self._rcw_plan(start, length, partial)
+        best = rcw if rcw.total_ios < delta.total_ios else delta
+        return best if best.total_ios < stripe.total_ios else stripe
 
     def _delta_plan(self, start: int, length: int) -> RunPlan:
         key = ("delta", start, length)
         plan = self._run_plans.get(key)
         if plan is None:
-            code = self.code
-            data = tuple(code.data_positions[start + i] for i in range(length))
-            parities: set[Position] = set()
-            for pos in data:
-                parities.update(code.parity_dependents[pos])
-            cells = data + tuple(sorted(parities))
-            plan = RunPlan("delta", cells, cells, decode=False)
-            self._run_plans[key] = plan
+            cells = self._run_cells(start, length)
+            plan = self._run_plans[key] = self._plan("delta", cells, cells)
         return plan
 
-    def _stripe_cost(self, full_overwrite: bool) -> int:
-        stored = len(self.code.nonempty_positions)
-        return stored if full_overwrite else 2 * stored
+    def _rcw_plan(self, start: int, length: int, partial: bool) -> RunPlan:
+        """Reconstruct-write: read every data cell the run does not
+        overwrite whole, write the run's cells and their dependents.
+
+        A run covers only its first or last chunk partly when
+        ``partial``; the plan does not know which, so it reads both.
+        """
+        stop = start + length
+        reads = tuple(
+            pos
+            for index, pos in enumerate(self.code.data_positions)
+            if not start <= index < stop
+            or (partial and index in (start, stop - 1))
+        )
+        return self._plan("rcw", reads, self._run_cells(start, length))
+
+    def _run_cells(self, start: int, length: int) -> tuple[Position, ...]:
+        """The run's data cells, then their parity dependents, sorted."""
+        code = self.code
+        data = tuple(code.data_positions[start + i] for i in range(length))
+        parities: set[Position] = set()
+        for pos in data:
+            parities.update(code.parity_dependents[pos])
+        return data + tuple(sorted(parities))
+
+    def _plan(
+        self,
+        path: str,
+        reads: tuple[Position, ...],
+        writes: tuple[Position, ...],
+        decode: bool = False,
+    ) -> RunPlan:
+        """A run plan with its role counts filled in."""
+        roles = self.code.roles
+        data_reads = sum(1 for pos in reads if not roles[pos])
+        data_writes = sum(1 for pos in writes if not roles[pos])
+        counts = (
+            data_reads, len(reads) - data_reads,
+            data_writes, len(writes) - data_writes,
+        )
+        return RunPlan(path, reads, writes, decode=decode, counts=counts)
 
     def plan_read_run(
         self,
@@ -425,11 +467,11 @@ class RequestPlanner:
         covered = tuple(code.data_positions[start + i] for i in range(length))
         if failed_key and any(col in failed_key for _, col in covered):
             decoder = code.decoder_for(failed_key)
-            plan = RunPlan(
+            plan = self._plan(
                 "stripe", tuple(decoder.plan.known_positions), (), decode=True
             )
         else:
-            plan = RunPlan("delta", covered, (), decode=False)
+            plan = self._plan("delta", covered, ())
         self._run_plans[key] = plan
         return plan
 
@@ -447,8 +489,9 @@ class RequestPlanner:
         Each request is split into per-stripe runs and planned exactly
         as the serial path plans it (same cached :class:`RunPlan`
         objects), then the runs are grouped by stripe in arrival order.
-        Groups where every run takes the delta fast path are *batchable*
-        and contribute to the merged span lists:
+        Groups where every run takes the delta fast path or
+        reconstruct-write are *batchable* and contribute to the merged
+        span lists:
 
         * **write spans** — the union of the groups' planned write
           positions, coalesced per disk with gap bridging ``bridge``;
@@ -486,7 +529,7 @@ class RequestPlanner:
                 group.items.append(
                     BatchItem(op_index, run, plan, cursor, is_write)
                 )
-                if plan.path != "delta" or plan.decode:
+                if plan.path == "stripe" or plan.decode:
                     group.batchable = False
                 cursor += run.nbytes
         counts = [0, 0, 0, 0]
@@ -498,13 +541,12 @@ class RequestPlanner:
                 continue
             base = group.stripe * rows
             for item in group.items:
-                _, reads_rel, writes_rel, plan_counts = self._plan_cells(
-                    item.plan
-                )
+                _, reads_rel, writes_rel = self._plan_cells(item.plan)
                 for col, row in reads_rel:
                     read_chunks.add((col, base + row))
                 for col, row in writes_rel:
                     write_chunks.add((col, base + row))
+                plan_counts = item.plan.counts
                 counts[0] += plan_counts[0]
                 counts[1] += plan_counts[1]
                 counts[2] += plan_counts[2]
@@ -524,34 +566,24 @@ class RequestPlanner:
         address = self.mapping.element_address(stripe, pos)
         return (address.disk, address.lba_chunk)
 
-    def _role(self, pos: Position) -> int:
-        return 1 if self.code.kind(pos[0], pos[1]) == Cell.PARITY else 0
-
     def _plan_cells(self, plan: RunPlan) -> tuple:
-        """Stripe-relative ``(disk, row)`` cells + role counts of a plan.
+        """Stripe-relative ``(disk, row)`` cells of a plan.
 
         ``plan_batch`` touches every element of every item; going through
-        ``element_address``/``kind`` per element dominated batch planning
-        (an Enum construction and a bounds check each). Run plans are
-        interned in ``_run_plans`` for the planner's lifetime, so the
-        flattened form is computed once per distinct plan. The cached
-        tuple keeps the plan itself as its first field, which both pins
-        the plan alive (making the ``id()`` key collision-free) and lets
-        the lookup verify identity.
+        ``element_address`` per element dominated batch planning (a
+        dataclass construction each). Run plans are interned in
+        ``_run_plans`` for the planner's lifetime, so the flattened form
+        is computed once per distinct plan. The cached tuple keeps the
+        plan itself as its first field, which both pins the plan alive
+        (making the ``id()`` key collision-free) and lets the lookup
+        verify identity.
         """
         cached = self._cell_cache.get(id(plan))
         if cached is None or cached[0] is not plan:
-            role = self._role
-            counts = [0, 0, 0, 0]
-            for pos in plan.reads:
-                counts[role(pos)] += 1
-            for pos in plan.writes:
-                counts[2 + role(pos)] += 1
             cached = (
                 plan,
                 tuple((pos[1], pos[0]) for pos in plan.reads),
                 tuple((pos[1], pos[0]) for pos in plan.writes),
-                tuple(counts),
             )
             self._cell_cache[id(plan)] = cached
         return cached

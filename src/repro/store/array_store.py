@@ -17,13 +17,17 @@ chunk and the parity chunks that depend on it (``ArrayCode.
 parity_dependents``, derived from the generator matrix), XOR the data
 delta through each, write back. On TIP that is exactly 1 data + 3 parity
 chunks read and written, the provable optimum; chained codes (STAR,
-Triple-Star) touch more. Runs for which RMW would cost more element I/Os
-than the naive path — and all degraded writes — fall back to the
-**full-stripe path** (load, re-encode, store), i.e. reconstruct-write at
-stripe granularity. Selection reuses the RMW cost model of
-``repro.analysis.write_path``. Aligned whole-stripe overwrites load
-nothing: :meth:`ArrayStore.write_stripes` encodes a run of them as one
-wide grid and writes each disk's span with one gather write.
+Triple-Star) touch more. A healthy run for which that costs more chunk
+I/Os than **reconstruct-write** takes RCW instead: read the data the run
+leaves, re-encode the stripe, write the run's chunks and their dependent
+parities, one span I/O per disk each way (the paper's RMW/RCW split,
+Sec. VI-B). Degraded writes take the **full-stripe path** (load,
+reconstruct, re-encode, store). The shared planner picks the path by
+chunk I/O count. Aligned whole-stripe overwrites load nothing:
+:meth:`ArrayStore.write_stripes` encodes a run of them as one wide grid
+and writes each disk's span with one gather write. Every path that
+re-encodes whole stripes journals one *data record* of their logical
+data, from which replay re-derives the parity.
 
 Every operation is metered: :attr:`ArrayStore.io` accumulates chunk
 reads/writes split by data/parity for the store's lifetime, and
@@ -46,12 +50,12 @@ import logging
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro._util import as_bytes_array, check_byte_range
-from repro.codes.base import ArrayCode, Cell, Decoder
+from repro._util import IOV_MAX, as_bytes_array, check_byte_range
+from repro.codes.base import ArrayCode, Decoder, Position
 from repro.raid.mapping import WIDE_WRITE_STRIPES, ChunkRun
 from repro.raid.planner import BatchItem, RequestPlanner, RunPlan
 from repro.store.journal import JournalRecord, MemoryJournal, WriteJournal
@@ -64,9 +68,10 @@ __all__ = ["ArrayStore", "DiskFailedError", "IoCounters", "WRITE_MODES"]
 
 logger = logging.getLogger(__name__)
 
-#: Valid ``write_mode`` arguments: ``auto`` picks per run via the cost
-#: model, ``delta``/``stripe`` force one path (degraded writes always use
-#: the stripe path regardless).
+#: Valid ``write_mode`` arguments: ``auto`` picks delta, reconstruct-
+#: write or the stripe path per run by chunk I/O count, ``delta``/
+#: ``stripe`` force one path (degraded writes always use the stripe path
+#: regardless).
 WRITE_MODES = ("auto", "delta", "stripe")
 
 #: ``write_mode`` → planner write strategy. The store executes plans; the
@@ -74,14 +79,11 @@ WRITE_MODES = ("auto", "delta", "stripe")
 _MODE_TO_STRATEGY = {"auto": "delta", "delta": "delta-always", "stripe": "stripe"}
 
 #: Scatter-gather availability (Linux/BSD yes, some platforms no). The
-#: batched span path and the wide whole-stripe write degrade to the
-#: single-call pread/joined-pwrite fallbacks — still one syscall per
-#: span — when vectored I/O is absent.
+#: batched span path, reconstruct-write and the wide whole-stripe write
+#: degrade to the single-call pread/joined-pwrite fallbacks — still one
+#: syscall per span — when vectored I/O is absent.
 _HAS_PREADV = hasattr(os, "preadv")
 _HAS_PWRITEV = hasattr(os, "pwritev")
-#: Buffers one ``pwritev`` call takes at most (``IOV_MAX`` on Linux and
-#: the BSDs); a longer gather list goes out as consecutive calls.
-_IOV_MAX = 1024
 
 
 class DiskFailedError(RuntimeError):
@@ -97,9 +99,10 @@ class ArrayStore:
         stripes: stripe count; capacity = ``stripes * code.num_data``
             chunks.
         chunk_bytes: chunk (element) size in bytes.
-        write_mode: ``"auto"`` (default) picks delta RMW vs full-stripe
-            per run by element-I/O cost; ``"delta"`` / ``"stripe"`` force
-            one path (delta still falls back while degraded).
+        write_mode: ``"auto"`` (default) picks delta RMW,
+            reconstruct-write or full-stripe per run by chunk I/O count;
+            ``"delta"`` / ``"stripe"`` force one path (delta still falls
+            back while degraded).
         batch_workers: worker processes for bulk decode during rebuild
             (1 = in-process). Fan-out splits the batched stripe range
             over shared-memory buffers (:mod:`repro.codec.parallel`);
@@ -250,23 +253,13 @@ class ArrayStore:
         self._backend = None
         if fault_plan is not None:
             self.set_fault_plan(fault_plan)
+        #: Metering role per stored cell (0 data, 1 parity; EMPTY absent).
+        self._roles = code.roles
         # Chunks a whole-column transfer moves, split (data, parity) —
         # EMPTY cells carry no information and are not metered.
-        self._col_profile = [
-            (
-                sum(
-                    1
-                    for r in range(code.rows)
-                    if code.kind(r, c) == Cell.DATA
-                ),
-                sum(
-                    1
-                    for r in range(code.rows)
-                    if code.kind(r, c) == Cell.PARITY
-                ),
-            )
-            for c in range(code.cols)
-        ]
+        self._col_profile = [[0, 0] for _ in range(code.cols)]
+        for (_, col), role in self._roles.items():
+            self._col_profile[col][role] += 1
         #: Grid rows and columns of the data cells in logical order: the
         #: fancy index that lays whole stripes of payload into a grid.
         self._data_cells = tuple(np.array(code.data_positions).T)
@@ -299,7 +292,10 @@ class ArrayStore:
             recover(self._recover_record, shard=self.shard_id)
 
     def _recover_record(self, record: JournalRecord) -> None:
-        """Persist one recovered journal record (raw span write)."""
+        """Persist one recovered journal record (raw span writes)."""
+        if record.stripe_data:
+            self._replay_stripes(record, (), self._raw_write_span)
+            return
         self._raw_write_span(record.disk, record.offset, record.payload)
         self._count(*record.meter, wrote=True)
 
@@ -419,38 +415,34 @@ class ArrayStore:
             self.syscalls.writes += calls
 
     def _vector_read_span(
-        self, disk: int, offset: int, length: int
-    ) -> np.ndarray:
-        """Read one span with a single ``preadv`` into a fresh buffer.
+        self, disk: int, offset: int, parts: list[np.ndarray]
+    ) -> None:
+        """Fill the buffers ``parts``, laid end to end, with one ``preadv``.
 
-        ``preadv`` with one destination buffer is the zero-copy form of
-        ``pread`` — the kernel fills the numpy buffer directly, skipping
-        the intermediate ``bytes`` object. Platforms without ``preadv``
-        fall back to :meth:`_raw_read_span` (still one syscall per span,
-        plus one copy).
+        ``preadv`` is the zero-copy form of ``pread``: the kernel fills
+        the numpy buffers directly, skipping the intermediate ``bytes``
+        object, and a short read resumes mid-list. The batch path reads
+        each span into one fresh buffer; reconstruct-write reads a
+        column's rows straight into per-chunk views of its stripe grid.
         """
-        buf = np.empty(length, dtype=np.uint8)
-        if not _HAS_PREADV:
-            buf[:] = np.frombuffer(
-                self._raw_read_span(disk, offset, length), dtype=np.uint8
-            )
-            return buf
         fd = self._handle(disk).fileno()
-        view = memoryview(buf)
+        views = [memoryview(part) for part in parts]
         cursor = offset
         calls = 0
-        while view:
-            got = os.preadv(fd, [view], cursor)
+        while views:
+            got = os.preadv(fd, views[:IOV_MAX], cursor)
             calls += 1
             if not got:
                 raise IOError(
                     f"short read on disk {disk} at offset {offset}"
                 )
-            view = view[got:]
             cursor += got
+            while views and got >= len(views[0]):
+                got -= len(views.pop(0))
+            if got:
+                views[0] = views[0][got:]
         with self._meter_lock:
             self.syscalls.vector_reads += calls
-        return buf
 
     def _vector_write_span(
         self, disk: int, offset: int, parts: list[np.ndarray]
@@ -462,7 +454,7 @@ class ArrayStore:
         passes one view per chunk of its grid. Either way the kernel
         gathers straight from numpy memory, with no join copy, and a
         short write resumes mid-list, as does a list longer than
-        :data:`_IOV_MAX`. Platforms without ``pwritev`` fall back to
+        :data:`~repro._util.IOV_MAX`. Platforms without ``pwritev`` fall back to
         :meth:`_raw_write_span` (one write of the joined bytes).
         """
         if not _HAS_PWRITEV:
@@ -473,7 +465,7 @@ class ArrayStore:
         cursor = offset
         calls = 0
         while True:
-            written = os.pwritev(fd, parts[:_IOV_MAX], cursor)
+            written = os.pwritev(fd, parts[:IOV_MAX], cursor)
             calls += 1
             remaining -= written
             if not remaining:
@@ -493,6 +485,26 @@ class ArrayStore:
         if self._backend is not None:
             return self._backend.read(disk, offset, length)
         return self._raw_read_span(disk, offset, length)
+
+    def _read_span_into(
+        self, disk: int, offset: int, parts: list[np.ndarray]
+    ) -> None:
+        """Fill the buffers ``parts``, laid end to end, from one span.
+
+        One ``preadv`` straight into them, unless a fault plan is
+        attached or the platform lacks ``preadv``: then the span is read
+        as bytes (still one syscall) and copied.
+        """
+        if self._backend is None and _HAS_PREADV:
+            self._vector_read_span(disk, offset, parts)
+            return
+        raw = np.frombuffer(
+            self._read_span(disk, offset, sum(map(len, parts))), dtype=np.uint8
+        )
+        cursor = 0
+        for part in parts:
+            part[:] = raw[cursor : cursor + len(part)]
+            cursor += len(part)
 
     def _write_span(
         self, disk: int, offset: int, data: "bytes | list[np.ndarray]"
@@ -526,11 +538,9 @@ class ArrayStore:
                     counters.parity_chunks_read += parity
 
     def _count_element(self, pos: tuple[int, int], *, wrote: bool) -> None:
-        kind = self.code.kind(*pos)
-        if kind == Cell.EMPTY:
-            return
-        is_parity = kind == Cell.PARITY
-        self._count(int(not is_parity), int(is_parity), wrote=wrote)
+        role = self._roles.get(pos)
+        if role is not None:
+            self._count(1 - role, role, wrote=wrote)
 
     def _current_decoder(self) -> Decoder:
         """The decoder for the present failure set, reused across stripes
@@ -638,23 +648,30 @@ class ArrayStore:
         return wide
 
     def _write_columns(
-        self, first: int, grid: np.ndarray, cols: Sequence[int]
+        self,
+        first: int,
+        grid: np.ndarray,
+        cols: Iterable[int],
+        write: "Callable[[int, int, list[np.ndarray]], None] | None" = None,
     ) -> None:
         """Write columns ``cols`` of a wide grid, one gather write each.
 
         ``grid`` holds consecutive stripes from ``first`` in the wide
         layout of :meth:`_load_stripe_batch`. Each disk gets one span
         write over per-chunk views of its column, and only the chunks
-        written are metered. Both the wide whole-stripe write and the
-        rebuild write-back go through here.
+        written are metered. The wide whole-stripe write, the stripe
+        path, journal replay and the rebuild write-back go through here;
+        ``write`` replaces the fault-injected span writer (recovery
+        writes raw).
         """
         rows, chunk = self.code.rows, self.chunk_bytes
         count = grid.shape[2] // chunk
         by_stripe = grid.reshape(rows, self.code.cols, count, chunk)
         offset = first * rows * chunk
+        write = write or self._write_span
         for col in cols:
             column = by_stripe[:, col]
-            self._write_span(
+            write(
                 col, offset,
                 [column[row, i] for i in range(count) for row in range(rows)],
             )
@@ -681,15 +698,29 @@ class ArrayStore:
         if not self._journalling:
             return
         row, col = pos
-        kind = self.code.kind(row, col)
-        meter = (int(kind == Cell.DATA), int(kind == Cell.PARITY))
+        role = self._roles[pos]
         offset = (stripe * self.code.rows + row) * self.chunk_bytes
         self.journal.log(
             JournalRecord(
                 shard=self.shard_id, disk=col, offset=offset,
-                payload=chunk.tobytes(), meter=meter,
+                payload=chunk, meter=(1 - role, role),
             )
         )
+
+    def _journal_stripes(self, first: int, data: np.ndarray) -> None:
+        """Log and seal one data record: ``data`` is the logical data of
+        whole stripes from ``first``, journaled as is (no copy)."""
+        if self._journalling:
+            self.journal.log(
+                JournalRecord(
+                    shard=self.shard_id,
+                    disk=-1,
+                    offset=first * self.code.rows * self.chunk_bytes,
+                    payload=data,
+                    stripe_data=True,
+                )
+            )
+        self._seal_journal()
 
     def _seal_journal(self) -> None:
         """Durability barrier: journal-before-data. Must return before
@@ -753,7 +784,9 @@ class ArrayStore:
     def _roll_journal_forward(self, skip: "set[int] | frozenset[int]") -> int:
         replayed = 0
         for record in self.journal.pending(self.shard_id):
-            if record.disk not in skip:
+            if record.stripe_data:
+                replayed += self._replay_stripes(record, skip, self._write_span)
+            elif record.disk not in skip:
                 self._write_span(record.disk, record.offset, record.payload)
                 self._count(*record.meter, wrote=True)
                 replayed += 1
@@ -764,6 +797,20 @@ class ArrayStore:
                 "store: rolled forward %d journaled span writes", replayed
             )
         return replayed
+
+    def _replay_stripes(
+        self,
+        record: JournalRecord,
+        skip: Iterable[int],
+        write: "Callable[[int, int, list[np.ndarray]], None]",
+    ) -> int:
+        """Roll a data record forward: encode its stripes, write every
+        column not in ``skip`` with ``write``; returns spans written."""
+        grid = self._encode_stripes(np.frombuffer(record.payload, dtype=np.uint8))
+        first = record.offset // (self.code.rows * self.chunk_bytes)
+        cols = [col for col in range(self.code.cols) if col not in skip]
+        self._write_columns(first, grid, cols, write)
+        return len(cols)
 
     def watch_writes(self) -> set[int]:
         """Register and return a live set that collects the stripe index
@@ -786,9 +833,10 @@ class ArrayStore:
 
         Each per-stripe run executes the plan the shared RAID planner
         produces: the delta read-modify-write fast path (small runs,
-        healthy array) or the full-stripe load/re-encode/store path
-        (large runs, or while degraded — the stripe is reconstructed
-        first so parity recomputation sees correct data).
+        healthy array), reconstruct-write (longer healthy runs) or the
+        full-stripe load/re-encode/store path (while degraded — the
+        stripe is reconstructed first so parity recomputation sees
+        correct data).
         """
         chunks = np.asarray(chunks, dtype=np.uint8)
         if chunks.ndim != 2 or chunks.shape[1] != self.chunk_bytes:
@@ -861,6 +909,9 @@ class ArrayStore:
         if plan.path == "delta":
             self._delta_write_run(run, payload)
             self.fast_path_writes += 1
+        elif plan.path == "rcw":
+            self._rcw_write_run(run, payload, plan)
+            self.slow_path_writes += 1
         elif plan.reads:
             self._stripe_write_run(run, payload, plan)
             self.slow_path_writes += 1
@@ -937,6 +988,55 @@ class ArrayStore:
             self._write_element(run.stripe, pos, chunk)
         self._commit_journal()
 
+    def _splice_run(
+        self, run: ChunkRun, payload: np.ndarray, grid: np.ndarray
+    ) -> None:
+        """Splice ``payload`` over the run's chunks of a stripe grid;
+        partly covered chunks keep the grid's old bytes around it."""
+        cursor = 0
+        for index in range(run.length):
+            row, col = self.code.data_positions[run.start + index]
+            new, consumed = self._splice(
+                run, index, cursor, payload, grid[row, col]
+            )
+            cursor += consumed
+            grid[row, col] = new
+
+    def _rcw_write_run(
+        self, run: ChunkRun, payload: np.ndarray, plan: RunPlan
+    ) -> None:
+        """Reconstruct-write: read the data the run leaves, re-encode,
+        write the run's chunks and their dependent parities.
+
+        Each disk's planned reads land straight in a stripe grid with
+        one read over the rows from its first to its last read cell,
+        the payload is spliced in and one encode recomputes the parity.
+        The stripe's new logical data is journaled as one data record,
+        then each disk's planned writes go out as one gather write over
+        its rows from first to last written cell. Rows a span bridges
+        but the plan leaves out are either overwritten in the grid
+        before they are used, or written back with the bytes just read
+        or their re-encoded parity; only planned chunks are metered.
+        """
+        code, chunk = self.code, self.chunk_bytes
+        grid = np.zeros((code.rows, code.cols, chunk), dtype=np.uint8)
+        base = run.stripe * code.rows
+        for col, rows in _column_rows(plan.reads):
+            self._read_span_into(
+                col, (base + rows.start) * chunk, [grid[row, col] for row in rows]
+            )
+        data_read, parity_read, data_written, parity_written = plan.counts
+        self._count(data_read, parity_read, wrote=False)
+        self._splice_run(run, payload, grid)
+        code.encode(grid)
+        self._journal_stripes(run.stripe, grid[self._data_cells].reshape(-1))
+        for col, rows in _column_rows(plan.writes):
+            self._write_span(
+                col, (base + rows.start) * chunk, [grid[row, col] for row in rows]
+            )
+        self._count(data_written, parity_written, wrote=True)
+        self._commit_journal()
+
     def _stripe_write_run(
         self, run: ChunkRun, payload: np.ndarray, plan: RunPlan
     ) -> None:
@@ -950,16 +1050,11 @@ class ArrayStore:
             # Degraded write: reconstruct the stripe before updating
             # so parity recomputation sees correct data.
             self._current_decoder().decode_columns(grid)
-        cursor = 0
-        for index in range(run.length):
-            row, col = self.code.data_positions[run.start + index]
-            new, consumed = self._splice(
-                run, index, cursor, payload, grid[row, col]
-            )
-            cursor += consumed
-            grid[row, col] = new
+        self._splice_run(run, payload, grid)
         self.code.encode(grid)
-        self._store_stripes(run.stripe, grid)
+        self._store_stripes(
+            run.stripe, grid, grid[self._data_cells].reshape(-1)
+        )
 
     def write_stripes(self, stripe: int, payload: np.ndarray) -> None:
         """Overwrite whole consecutive stripes from ``stripe`` (wide write).
@@ -985,43 +1080,37 @@ class ArrayStore:
                 f"payload must hold 1..{WIDE_WRITE_STRIPES} whole stripes "
                 f"inside the store"
             )
-        grid = np.zeros((code.rows, code.cols, count * chunk), dtype=np.uint8)
-        grid.reshape(code.rows, code.cols, count, chunk)[self._data_cells] = (
-            payload.reshape(count, code.num_data, chunk).transpose(1, 0, 2)
-        )
-        code.encode(grid)
-        self._store_stripes(stripe, grid)
+        payload = payload.reshape(-1)
+        self._store_stripes(stripe, self._encode_stripes(payload), payload)
         self.slow_path_writes += count
         for watcher in tuple(self._write_watchers):
             watcher.update(range(stripe, stripe + count))
 
-    def _store_stripes(self, first: int, grid: np.ndarray) -> None:
-        """Journal, then write, every surviving column of an encoded grid.
+    def _encode_stripes(self, data: np.ndarray) -> np.ndarray:
+        """Lay the logical data of whole stripes into one wide grid (the
+        layout of :meth:`_load_stripe_batch`) and encode it."""
+        code, chunk = self.code, self.chunk_bytes
+        count = data.size // (code.num_data * chunk)
+        grid = np.zeros((code.rows, code.cols, count * chunk), dtype=np.uint8)
+        grid.reshape(code.rows, code.cols, count, chunk)[self._data_cells] = (
+            data.reshape(count, code.num_data, chunk).transpose(1, 0, 2)
+        )
+        code.encode(grid)
+        return grid
+
+    def _store_stripes(
+        self, first: int, grid: np.ndarray, data: np.ndarray
+    ) -> None:
+        """Journal ``data``, then write every surviving column of ``grid``.
 
         ``grid`` holds consecutive stripes from ``first`` in the wide
-        layout of :meth:`_load_stripe_batch`. The transaction has one
-        record per surviving disk span, and :meth:`_write_columns`
-        gives each surviving disk one gather write.
+        layout of :meth:`_load_stripe_batch`, encoded from ``data``,
+        their logical data. The transaction is one data record of
+        ``data``, and :meth:`_write_columns` gives each surviving disk
+        one gather write.
         """
-        rows, cols, chunk = self.code.rows, self.code.cols, self.chunk_bytes
-        count = grid.shape[2] // chunk
-        by_stripe = grid.reshape(rows, cols, count, chunk)
-        offset = first * rows * chunk
-        survivors = [col for col in range(cols) if col not in self.failed]
-        if self._journalling:
-            for col in survivors:
-                data, parity = self._col_profile[col]
-                self.journal.log(
-                    JournalRecord(
-                        shard=self.shard_id,
-                        disk=col,
-                        offset=offset,
-                        # (count, rows, chunk): the span's on-disk order
-                        payload=by_stripe[:, col].transpose(1, 0, 2).tobytes(),
-                        meter=(data * count, parity * count),
-                    )
-                )
-        self._seal_journal()
+        self._journal_stripes(first, data)
+        survivors = [col for col in range(self.code.cols) if col not in self.failed]
         self._write_columns(first, grid, survivors)
         self._commit_journal()
 
@@ -1102,7 +1191,8 @@ class ArrayStore:
 
         The batch is planned once (:meth:`RequestPlanner.plan_batch`):
         per-stripe run groups where every run takes the delta fast path
-        execute through merged, gap-bridged per-disk spans — one
+        or reconstruct-write execute through merged, gap-bridged
+        per-disk spans — one
         ``preadv``/``pwritev`` per span instead of one ``pread``/
         ``pwrite`` per chunk per request — with all delta folding done
         in memory between the two span phases, one sealed journal
@@ -1184,9 +1274,8 @@ class ArrayStore:
         state: dict[tuple[int, int], np.ndarray] = {}
         cover: dict[int, list[tuple[int, np.ndarray]]] = {}
         for span in plan.read_spans:
-            buf = self._vector_read_span(
-                span.disk, span.lba_chunk * chunk, span.chunks * chunk
-            )
+            buf = np.empty(span.chunks * chunk, dtype=np.uint8)
+            self._read_span_into(span.disk, span.lba_chunk * chunk, [buf])
             cover.setdefault(span.disk, []).append((span.lba_chunk, buf))
             for i, lba in enumerate(span.lbas()):
                 state[(span.disk, lba)] = buf[i * chunk : (i + 1) * chunk]
@@ -1202,11 +1291,13 @@ class ArrayStore:
         for group in plan.batchable_groups:
             for item in group.items:
                 if item.is_write:
-                    self._fold_write_item(
-                        group.stripe, item, ops[item.op_index][2],
-                        state, dirty,
-                    )
-                    self.fast_path_writes += 1
+                    buf = ops[item.op_index][2]
+                    if item.plan.path == "rcw":
+                        self._fold_rcw_item(group.stripe, item, buf, state, dirty)
+                        self.slow_path_writes += 1
+                    else:
+                        self._fold_write_item(group.stripe, item, buf, state, dirty)
+                        self.fast_path_writes += 1
                     for watcher in tuple(self._write_watchers):
                         watcher.add(group.stripe)
                 else:
@@ -1308,6 +1399,36 @@ class ArrayStore:
             key = (col, stripe * rows + row)
             view = state[key]
             np.bitwise_xor(view, parity_deltas[parity], out=view)
+            dirty[key] = view
+
+    def _fold_rcw_item(
+        self,
+        stripe: int,
+        item: BatchItem,
+        buf: np.ndarray,
+        state: dict[tuple[int, int], np.ndarray],
+        dirty: dict[tuple[int, int], np.ndarray],
+    ) -> None:
+        """Fold one reconstruct-write run into the batch state (no disk
+        I/O): the in-memory mirror of :meth:`_rcw_write_run`.
+
+        Every data cell of the stripe is in ``state`` — the run's as
+        planned writes, the rest as planned reads — so the stripe is
+        re-encoded from them with the payload spliced in, and the
+        planned write cells are updated in place.
+        """
+        code = self.code
+        rows = code.rows
+        grid = np.zeros((rows, code.cols, self.chunk_bytes), dtype=np.uint8)
+        for row, col in code.data_positions:
+            grid[row, col] = state[(col, stripe * rows + row)]
+        run = item.run
+        self._splice_run(run, buf[item.cursor : item.cursor + run.nbytes], grid)
+        code.encode(grid)
+        for row, col in item.plan.writes:
+            key = (col, stripe * rows + row)
+            view = state[key]
+            view[:] = grid[row, col]
             dirty[key] = view
 
     def _fill_read_item(
@@ -1467,3 +1588,15 @@ class ArrayStore:
             for stripe in range(self.stripes)
             if not self.code.verify_stripe(self._load_stripe(stripe))
         ]
+
+
+def _column_rows(cells: Iterable[Position]) -> list[tuple[int, range]]:
+    """Per disk holding any of ``cells``, the stripe rows from its first
+    to its last cell: the span one vectored I/O covers."""
+    rows: dict[int, list[int]] = {}
+    for row, col in cells:
+        rows.setdefault(col, []).append(row)
+    return [
+        (col, range(min(found), max(found) + 1))
+        for col, found in sorted(rows.items())
+    ]

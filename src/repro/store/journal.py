@@ -25,6 +25,15 @@ Two implementations share the :class:`WriteJournal` protocol:
   a redundant replay, never correctness — which is exactly what makes
   group commit safe.
 
+Intents come in two kinds (see :class:`JournalRecord`): a *span record*
+holds the absolute bytes of one disk span, and a *data record* holds
+the logical data of whole stripes, whose parity replay re-derives by
+encoding. A transaction that re-encodes whole stripes logs one data
+record, so it journals its data chunks only, not their parity.
+Payloads are never copied on the way to the file: a record holds the
+caller's buffer, its CRC is computed over that buffer, and the append
+gathers header and payload views in one ``writev``.
+
 One journal instance can be **shared across stores**: every record
 carries the ``shard`` id of the store that logged it (the
 :class:`~repro.volume.VolumeManager` gives each of its shards a unique
@@ -41,8 +50,13 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 from zlib import crc32
+
+from repro._util import IOV_MAX
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntentJournal",
@@ -54,49 +68,69 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Record kinds in the on-disk format.
+#: Record kinds in the on-disk format: a span intent, a commit marker,
+#: a data intent (:attr:`JournalRecord.stripe_data`).
 _KIND_INTENT = 1
 _KIND_COMMIT = 2
+_KIND_DATA = 3
 
 #: On-disk record header: magic, kind, shard, disk, txn, offset, length,
 #: data-chunk count, parity-chunk count, payload CRC32, header CRC32.
 _HEADER = struct.Struct("<2sBxIiQQIHHII")
 _MAGIC = b"RJ"
 
+#: Gather writes are available (Linux/BSD yes, some platforms no); the
+#: fallback appends one buffer per call.
+_HAS_WRITEV = hasattr(os, "writev")
+
 
 class JournalCorruptionError(RuntimeError):
     """A journal record failed its checksum mid-file (not a torn tail)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JournalRecord:
-    """One intended span write: absolute payload at (shard, disk, offset).
+    """One intended write of a shard: a span record or a data record.
 
+    A *span record* is an absolute payload at (shard, disk, offset).
     ``meter`` is the ``(data_chunks, parity_chunks)`` split the write
     moves, carried so a replay can account its I/O exactly like the
     original operation would have.
+
+    A *data record* (``stripe_data``) holds the logical data of whole
+    consecutive stripes, whose columns start at byte ``offset`` of every
+    disk. Replay encodes the data and writes every surviving column, so
+    ``disk`` (-1) and ``meter`` are unused: the replay meters the
+    columns it writes.
+
+    ``payload`` is one contiguous 1-D byte buffer (``bytes`` or a uint8
+    array) and is the caller's buffer, not a copy: the caller must not
+    change it while the transaction is open. Records compare by
+    identity, so two byte-identical intents stay two writes.
     """
 
     shard: int
     disk: int
     offset: int
-    payload: bytes
+    payload: "bytes | np.ndarray"
     meter: tuple[int, int] = (0, 0)
+    stripe_data: bool = False
 
 
 class WriteJournal(Protocol):
     """Intent-journal protocol the store's write path drives.
 
     Transaction scope is one mutating run on one shard, executed by one
-    thread: ``log`` each intended span, ``seal`` the transaction (a
-    durability barrier — nothing may be journaled *after* data writes
-    begin), then ``commit`` once every span landed. ``pending`` exposes
+    thread: ``log`` each intended write (a span record, or a data record
+    of whole stripes), ``seal`` the transaction (a durability barrier —
+    nothing may be journaled *after* data writes begin), then ``commit``
+    once every write landed. ``pending`` exposes
     the calling thread's sealed-but-uncommitted records so an
     interrupted operation can be rolled forward in process.
     """
 
     def log(self, record: JournalRecord) -> None:
-        """Add one intended span write to the open transaction."""
+        """Add one intended write to the open transaction."""
         ...  # pragma: no cover - protocol
 
     def seal(self, shard: int) -> None:
@@ -256,8 +290,19 @@ class IntentJournal:
     # on-disk format
     # ------------------------------------------------------------------
     @staticmethod
-    def _encode(kind: int, txn: int, record: JournalRecord) -> bytes:
-        payload = record.payload if kind == _KIND_INTENT else b""
+    def _encode(
+        txn: int, record: JournalRecord, commit: bool = False
+    ) -> tuple[bytes, "bytes | np.ndarray"]:
+        """Header and payload of ``record`` as one on-disk record.
+
+        The payload is ``record.payload`` itself (a commit marker has
+        none) and its CRC is computed over that buffer: no copy.
+        """
+        if commit:
+            kind, payload = _KIND_COMMIT, b""
+        else:
+            kind = _KIND_DATA if record.stripe_data else _KIND_INTENT
+            payload = record.payload
         data, parity = record.meter
         head = _HEADER.pack(
             _MAGIC, kind, record.shard, record.disk, txn, record.offset,
@@ -265,7 +310,7 @@ class IntentJournal:
         )
         # Header CRC covers everything before the CRC field itself.
         head = head[:-4] + struct.pack("<I", crc32(head[:-4]))
-        return head + payload
+        return head, payload
 
     @staticmethod
     def _decode(buf: bytes, cursor: int) -> tuple[int, int, JournalRecord] | None:
@@ -286,7 +331,7 @@ class IntentJournal:
             return _torn(cursor)
         record = JournalRecord(
             shard=shard, disk=disk, offset=offset, payload=payload,
-            meter=(data, parity),
+            meter=(data, parity), stripe_data=kind == _KIND_DATA,
         )
         return kind, txn, record
 
@@ -328,29 +373,42 @@ class IntentJournal:
     # ------------------------------------------------------------------
     # low-level file ops (override points for crash-injection tests)
     # ------------------------------------------------------------------
-    def _append(self, data: bytes) -> None:
-        """Append all of ``data``, or raise with the file as it was.
+    def _append(self, parts: "list[bytes | np.ndarray]") -> None:
+        """Append the buffers ``parts`` end to end: all of them, or
+        raise with the file as it was.
 
-        An unbuffered write may land only part of its buffer (a signal,
-        or ``ENOSPC`` partway through a record), so loop on the count it
-        returns. On failure the torn piece is cut off again: recovery
-        stops parsing at the first bad record, so leaving it would hide
-        every transaction sealed after it.
+        The buffers go out by gather writes straight from the callers'
+        memory. A write may land only part of them (a signal, or
+        ``ENOSPC`` partway through a record), so resume after the bytes
+        that landed. On failure the torn piece is cut off again:
+        recovery stops parsing at the first bad record, so leaving it
+        would hide every transaction sealed after it.
         """
         start = self._file.tell()
-        view = memoryview(data)
+        views = [memoryview(part).cast("B") for part in parts if len(part)]
+        first = 0
         try:
-            while view:
-                written = self._file.write(view)
+            while first < len(views):
+                written = self._write_some(views[first : first + IOV_MAX])
                 if not written:
                     raise OSError(
                         errno.EIO, f"journal {self.path}: append wrote nothing"
                     )
-                view = view[written:]
+                while first < len(views) and written >= len(views[first]):
+                    written -= len(views[first])
+                    first += 1
+                if written:
+                    views[first] = views[first][written:]
         except BaseException:
             self._file.truncate(start)
             self._file.seek(start)
             raise
+
+    def _write_some(self, views: list[memoryview]) -> int:
+        """One write of the buffers ``views``; returns the bytes landed."""
+        if _HAS_WRITEV:
+            return os.writev(self._file.fileno(), views)
+        return self._file.write(views[0])
 
     def _sync(self) -> None:
         os.fsync(self._file.fileno())
@@ -377,10 +435,10 @@ class IntentJournal:
         with self._lock:
             txn = self._next_txn
             self._next_txn += 1
-            blob = b"".join(
-                self._encode(_KIND_INTENT, txn, record) for record in records
-            )
-            self._append(blob)
+            parts: list = []
+            for record in records:
+                parts.extend(self._encode(txn, record))
+            self._append(parts)
             self._sync()
             self._open_txns[txn] = list(records)
             self._txn_of_thread[key] = txn
@@ -398,7 +456,7 @@ class IntentJournal:
                 return  # nothing sealed (journal-off path): no-op
             self._open_txns.pop(txn, None)
             marker = JournalRecord(shard=shard, disk=0, offset=0, payload=b"")
-            self._append(self._encode(_KIND_COMMIT, txn, marker))
+            self._append(list(self._encode(txn, marker, commit=True)))
             self._unsynced_commits += 1
             if self._unsynced_commits >= self.group_commit:
                 self._sync()
@@ -432,10 +490,11 @@ class IntentJournal:
         """Roll forward uncommitted transactions found at open.
 
         ``writer`` receives each :class:`JournalRecord` and must persist
-        its payload at (disk, offset) of the record's shard. With
+        it on the record's shard: a span record's payload at (disk,
+        offset), a data record's stripes encoded onto every column. With
         ``shard`` given only that shard's transactions replay (a volume
         recovers shard by shard as it opens each store); transactions
-        are replayed in txn order. Returns span writes replayed. Each
+        are replayed in txn order. Returns records replayed. Each
         recovered transaction gets a commit marker, so a second
         ``recover`` — or a crash mid-recovery followed by another open —
         replays only what is still unmarked (idempotent end to end).
@@ -465,7 +524,7 @@ class IntentJournal:
                     shard=shard if shard is not None else 0,
                     disk=0, offset=0, payload=b"",
                 )
-                self._append(self._encode(_KIND_COMMIT, txn, marker))
+                self._append(list(self._encode(txn, marker, commit=True)))
                 self._sync()
         if replayed:
             logger.info(
@@ -538,19 +597,26 @@ class IntentJournal:
         the complete old file or the complete new one (both recover
         identically: the live set is the same).
         """
-        live: list[bytes] = []
         count = 0
-        for source in (self._open_txns, self._recoverable):
-            for txn in sorted(source):
-                for record in source[txn]:
-                    live.append(self._encode(_KIND_INTENT, txn, record))
-                    count += 1
         tmp = self.path.with_name(self.path.name + ".compact")
         with open(tmp, "wb") as handle:
-            handle.write(b"".join(live))
+            for source in (self._open_txns, self._recoverable):
+                for txn in sorted(source):
+                    for record in source[txn]:
+                        for part in self._encode(txn, record):
+                            handle.write(part)
+                        count += 1
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
+        # Make the rename itself durable: until the directory is synced
+        # a power loss can leave the name on the old file, losing every
+        # intent sealed into the new one.
+        directory = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         self._file.close()
         self._file = open(self.path, "ab", buffering=0)
         self._sync()

@@ -11,7 +11,6 @@ journal's file ops one call later each iteration.
 """
 
 import errno
-import io
 import struct
 
 import numpy as np
@@ -473,8 +472,8 @@ class TestJournalledStoreEquivalence:
         plain.close(), logged.close(), journal.close()
 
 
-class _ShortFile(io.FileIO):
-    """A journal file whose writes land at most ``limit`` bytes each.
+class _ShortJournal(IntentJournal):
+    """A journal whose appends land at most ``limit`` bytes per write.
 
     With ``fail_after`` set, every write after that many calls raises
     ``ENOSPC``: a disk filling up partway through a record.
@@ -484,31 +483,24 @@ class _ShortFile(io.FileIO):
     fail_after: int | None = None
     calls = 0
 
-    def write(self, data):
+    def _write_some(self, views):
         self.calls += 1
         if self.fail_after is not None and self.calls > self.fail_after:
             raise OSError(errno.ENOSPC, "No space left on device")
-        return super().write(memoryview(data)[: self.limit])
+        return super()._write_some([views[0][: self.limit]])
 
 
 class TestShortAppends:
     """An unbuffered write may land only part of a record; the journal
     must append every byte or raise without leaving a torn record."""
 
-    @staticmethod
-    def _journal(path):
-        journal = IntentJournal(path)
-        journal._file.close()
-        journal._file = _ShortFile(path, "ab")
-        return journal
-
     def test_short_writes_still_append_whole_records(self, tmp_path):
         path = tmp_path / "j"
-        journal = self._journal(path)
+        journal = _ShortJournal(path)
         journal.log(_record(payload=b"x" * 100))
         journal.log(_record(disk=2, payload=b"y" * 37))
         journal.seal(0)
-        assert journal._file.calls > 2  # the records took many writes
+        assert journal.calls > 2  # the records took many writes
         # Killed before the commit: both intents must parse back whole.
         replayed = []
         with IntentJournal(path) as reopened:
@@ -518,18 +510,18 @@ class TestShortAppends:
 
     def test_failed_append_raises_and_leaves_no_torn_record(self, tmp_path):
         path = tmp_path / "j"
-        journal = self._journal(path)
+        journal = _ShortJournal(path)
         journal.log(_record(payload=b"a" * 64))
         journal.seal(0)  # sealed, never committed: must survive
-        journal._file.calls = 0
-        journal._file.fail_after = 3
+        journal.calls = 0
+        journal.fail_after = 3
         journal.log(_record(shard=1, payload=b"b" * 64))
         with pytest.raises(OSError) as failure:
             journal.seal(1)
         assert failure.value.errno == errno.ENOSPC
         # Space is back: a later transaction must land behind the first
         # one, not behind an unparseable piece of the failed one.
-        journal._file.fail_after = None
+        journal.fail_after = None
         journal.log(_record(shard=2, payload=b"c" * 64))
         journal.seal(2)
         replayed = []

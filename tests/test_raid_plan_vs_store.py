@@ -336,3 +336,49 @@ class TestBatchedExecutionEquivalence:
         with store:
             assert store.execute_batch([]) == []
             assert store.io.snapshot().total_chunks == 0
+
+
+class TestReconstructWrite:
+    """Partial-stripe runs long enough to take reconstruct-write: the
+    controller prices exactly what the store's RCW path moves, and the
+    store holds the bytes a model image predicts."""
+
+    @pytest.mark.parametrize("family,n", FAMILIES)
+    def test_rcw_runs_match(self, tmp_path, family, n):
+        code, store, controller = build(tmp_path, family, n)
+        model = store.read_bytes(0, store.capacity_bytes).copy()
+        device = BlockDevice(store)
+        rng = np.random.default_rng(hash(("rcw", family, n)) & 0xFFFF)
+        per_stripe = code.num_data * CHUNK
+        lengths = sorted({2, 3, code.num_data // 2, code.num_data - 1})
+        rcw_runs = 0
+        for length in lengths:
+            for offset in (
+                per_stripe,                               # aligned head
+                per_stripe + CHUNK // 2,                  # unaligned
+                2 * per_stripe - length * CHUNK,          # ends the stripe
+                3 * per_stripe - length * CHUNK // 2,     # spans two stripes
+            ):
+                nbytes = length * CHUNK
+                request = TraceRequest(0.0, offset, nbytes, True)
+                planned = plan_io_counters(code, controller.plan(request))
+                for run in store.planner.mapping.byte_runs(offset, nbytes):
+                    plan = store.planner.plan_write_run(
+                        run.start, run.length,
+                        partial=run.is_partial(CHUNK),
+                    )
+                    rcw_runs += plan.path == "rcw"
+                payload = rng.integers(0, 256, nbytes, dtype=np.uint8)
+                device.write(offset, payload.tobytes())
+                model[offset : offset + nbytes] = payload
+                measured = store.last_io
+                assert (
+                    planned.data_chunks_read, planned.parity_chunks_read,
+                    planned.data_chunks_written, planned.parity_chunks_written,
+                ) == (
+                    measured.data_chunks_read, measured.parity_chunks_read,
+                    measured.data_chunks_written, measured.parity_chunks_written,
+                ), (family, n, offset, length)
+        assert rcw_runs > 0, (family, n)
+        assert np.array_equal(store.read_bytes(0, store.capacity_bytes), model)
+        assert store.scrub() == []

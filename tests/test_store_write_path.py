@@ -111,17 +111,33 @@ class TestPathSelection:
         assert store.slow_path_writes == 1
 
     def test_auto_threshold_matches_cost_model(self, tmp_path):
-        """Auto must go delta exactly when RMW beats the naive path."""
+        """Auto takes the cheapest of delta RMW, reconstruct-write and
+        the whole-stripe path by chunk I/Os; ties keep the whole-stripe
+        path, then delta."""
         store = make_store(tmp_path)
         code = store.code
-        baseline = full_stripe_cost(code).total_ios
+        stored = len(code.nonempty_positions)
         for run in range(1, code.num_data + 1):
             positions = [code.data_positions[i] for i in range(run)]
-            expect_fast = rmw_cost(code, positions).total_ios < baseline
+            delta = rmw_cost(code, positions).total_ios
+            # RCW reads every data chunk the run leaves and writes what
+            # delta writes; a whole aligned stripe reads nothing.
+            rcw = code.num_data - run + delta // 2
+            whole = run == code.num_data
+            stripe = stored if whole else full_stripe_cost(code).total_ios
+            expected = min(
+                (stripe, "stripe"), (delta, "delta"), (rcw, "rcw"),
+                key=lambda cost_path: cost_path[0],
+            )
             fast_before = store.fast_path_writes
+            slow_before = store.slow_path_writes
             store.write_chunks(0, random_chunks(run, seed=run))
             took_fast = store.fast_path_writes == fast_before + 1
-            assert took_fast == expect_fast, run
+            took_slow = store.slow_path_writes == slow_before + 1
+            assert took_fast == (expected[1] == "delta"), run
+            assert took_slow == (expected[1] != "delta"), run
+            assert store.last_io.total_chunks == expected[0], run
+        assert store.scrub() == []
 
     def test_forced_modes(self, tmp_path):
         delta = make_store(tmp_path / "d", write_mode="delta")
