@@ -32,10 +32,6 @@ flat program that executes with **zero per-step allocation**:
   calibration. All tile boundaries are 64-byte multiples so ``uint64``
   views never fall back mid-sweep; an explicit ``tile_bytes`` is
   rounded **up** to the next 64-byte multiple.
-
-Plans are self-contained and picklable, which is what lets
-:mod:`repro.codec.parallel` ship them to worker processes that execute
-disjoint column ranges of shared-memory buffers.
 """
 
 from __future__ import annotations
@@ -456,18 +452,6 @@ class CompiledPlan:
             ws = np.empty((self.num_workspace, want), dtype=np.uint8)
             self._ws_local.arena = ws
         return ws
-
-    # ------------------------------------------------------------------
-    # pickling (the workspace arena is per-process scratch, not state)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_ws_local"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._ws_local = threading.local()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -5,14 +5,13 @@ aggregate footprint" heuristic — a guess about commodity cache sizes
 that was wrong on both sides: on hosts with small effective caches it
 thrashed, and on hosts where the whole working set fits a large L3 it
 paid per-tile dispatch overhead for nothing. This module replaces the
-guess with three one-time measurements:
+guess with these one-time measurements:
 
 * **streaming XOR bandwidth** — one in-place ``np.bitwise_xor`` over a
-  buffer far larger than any cache. This is the roofline for XOR-bound
-  kernels: a schedule that reads every source from DRAM can never beat
-  it per op.
-* **memcpy bandwidth** — ``np.copyto`` at the same size; the roofline
-  for pure data movement (gather/scatter in the parallel fan-out).
+  buffer far larger than any cache: what an op pays when every operand
+  comes from DRAM.
+* **memcpy bandwidth** — ``np.copyto`` at the same size; the rate of
+  pure data movement.
 * **effective cache size** — the largest working-set footprint whose
   repeated in-place XOR still runs clearly above the streaming rate.
   Virtualized hosts lie in ``/sys`` (a vCPU may see the machine's full
@@ -22,9 +21,11 @@ guess with three one-time measurements:
   below it, tiling time goes to the interpreter instead of the bus.
 
 Results are cached per process in a :class:`HostProfile`;
-:func:`host_profile` is what :meth:`CompiledPlan.default_tile` and the
-roofline stage of ``benchmarks/bench_engine.py`` consume. Tests pin the
-profile with :func:`set_host_profile` to make tile policy deterministic.
+:func:`host_profile` is what :meth:`CompiledPlan.default_tile` consumes.
+Tests pin the profile with :func:`set_host_profile` to make tile policy
+deterministic. :func:`measure_working_set_xor_gib_s` is also the
+roofline of ``benchmarks/bench_engine.py``, taken at the tile a plan
+actually executes.
 
 The measurement is not free: the streaming buffers add about 64 MiB to
 the process's peak memory and the whole calibration takes ~0.1 s. It
@@ -48,6 +49,7 @@ __all__ = [
     "measure_xor_gib_s",
     "measure_dispatch_overhead_s",
     "measure_effective_cache_bytes",
+    "measure_working_set_xor_gib_s",
 ]
 
 #: Buffer size for the streaming measurements: large enough to defeat
@@ -137,7 +139,7 @@ def measure_dispatch_overhead_s(reps: int = 2000) -> float:
     return max((time.perf_counter() - start) / reps, 1e-8)
 
 
-def _footprint_xor_gib_s(footprint: int, reps: int = 3) -> float:
+def measure_working_set_xor_gib_s(footprint: int, reps: int = 3) -> float:
     """Repeated in-place XOR over a two-buffer working set of
     ``footprint`` bytes; cache-resident footprints run far above the
     streaming rate."""
@@ -165,10 +167,10 @@ def measure_effective_cache_bytes(
     """
     if stream_gib_s is None:
         stream_gib_s = measure_xor_gib_s()
-    cached = _footprint_xor_gib_s(_CACHE_LADDER[0])
+    cached = measure_working_set_xor_gib_s(_CACHE_LADDER[0])
     edge = _CACHE_LADDER[0]
     for footprint in _CACHE_LADDER[1:]:
-        rate = _footprint_xor_gib_s(footprint)
+        rate = measure_working_set_xor_gib_s(footprint)
         if rate < _CACHE_EDGE_RATIO * stream_gib_s:
             break
         edge = footprint

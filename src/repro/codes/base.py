@@ -793,7 +793,6 @@ class Decoder:
         self,
         stripe: np.ndarray,
         only_cols: tuple[int, ...] | None = None,
-        workers: int = 1,
         tile_bytes: int | None = None,
     ) -> None:
         """Reconstruct erased elements of ``stripe`` in place.
@@ -808,8 +807,6 @@ class Decoder:
             only_cols: if given, write back only these columns' elements
                 (used by iterative reconstruction to recover one disk from
                 the full-system solution).
-            workers: fan the packet width out over this many processes
-                (see :mod:`repro.codec.parallel`); 1 = in-process.
             tile_bytes: cache-tile override for the compiled plan.
         """
         compiled = self.compiled_plan(only_cols)
@@ -820,14 +817,7 @@ class Decoder:
             return
         knowns = [stripe[r, c] for r, c in self.plan.known_positions]
         outs = [stripe[r, c] for r, c in positions]
-        if workers > 1:
-            from repro.codec.parallel import parallel_execute
-
-            parallel_execute(
-                compiled, knowns, outs, workers=workers, tile_bytes=tile_bytes
-            )
-        else:
-            compiled.execute_into(knowns, outs, tile_bytes=tile_bytes)
+        compiled.execute_into(knowns, outs, tile_bytes=tile_bytes)
 
 
 def shorten(

@@ -103,10 +103,6 @@ class ArrayStore:
             reconstruct-write or full-stripe per run by chunk I/O count;
             ``"delta"`` / ``"stripe"`` force one path (delta still falls
             back while degraded).
-        batch_workers: worker processes for bulk decode during rebuild
-            (1 = in-process). Fan-out splits the batched stripe range
-            over shared-memory buffers (:mod:`repro.codec.parallel`);
-            results are byte-identical for any worker count.
         rebuild_batch: stripes read, bulk-decoded and written back per
             rebuild round. Batching turns per-stripe reads into one
             contiguous span read per surviving disk and lets the
@@ -160,7 +156,6 @@ class ArrayStore:
         stripes: int = 16,
         chunk_bytes: int = 4096,
         write_mode: str = "auto",
-        batch_workers: int = 1,
         rebuild_batch: int = 32,
         cache_stripes: int = 0,
         fault_plan: "FaultPlan | None" = None,
@@ -176,8 +171,6 @@ class ArrayStore:
             raise ValueError(
                 f"write_mode must be one of {WRITE_MODES}, got {write_mode!r}"
             )
-        if batch_workers < 1:
-            raise ValueError("batch_workers must be >= 1")
         if rebuild_batch < 1:
             raise ValueError("rebuild_batch must be >= 1")
         if cache_stripes < 0:
@@ -187,7 +180,6 @@ class ArrayStore:
         self.stripes = stripes
         self.chunk_bytes = chunk_bytes
         self.write_mode = write_mode
-        self.batch_workers = batch_workers
         self.rebuild_batch = rebuild_batch
         self.failed: set[int] = set()
         self.io = IoCounters()
@@ -599,9 +591,7 @@ class ArrayStore:
         """Read a whole stripe (failed columns come back zeroed)."""
         return self._load_stripe_batch(stripe, 1)
 
-    def _load_stripe_batch(
-        self, start: int, count: int, shared: bool = False
-    ) -> np.ndarray:
+    def _load_stripe_batch(self, start: int, count: int) -> np.ndarray:
         """Read ``count`` consecutive stripes as one *wide* stripe.
 
         The result has shape ``(rows, cols, count * chunk_bytes)``:
@@ -611,26 +601,9 @@ class ArrayStore:
         a single ``Decoder.decode_columns`` call over the wide stripe
         bulk-decodes the whole batch. Each surviving disk is read as one
         contiguous span (failed columns come back zeroed).
-
-        With ``shared=True`` the grid is allocated from the fan-out
-        pool's shared memory (:func:`repro.codec.parallel.shared_empty`),
-        so a following multiprocess ``decode_columns`` passes workers
-        segment offsets instead of gather-copying ~the whole batch; the
-        rebuild path uses this when ``batch_workers > 1``. Shared grids
-        are transient per batch — the next ``shared=True`` call may
-        reuse or replace the backing segment.
         """
         rows, cols, chunk = self.code.rows, self.code.cols, self.chunk_bytes
-        if shared:
-            from repro.codec.parallel import shared_empty
-
-            flat = shared_empty(
-                (rows * cols, count * chunk), role="store-rebuild"
-            )
-            wide = flat.reshape(rows, cols, count * chunk)
-            wide[...] = 0
-        else:
-            wide = np.zeros((rows, cols, count * chunk), dtype=np.uint8)
+        wide = np.zeros((rows, cols, count * chunk), dtype=np.uint8)
         # Guaranteed view: ``wide`` is C-contiguous, so splitting its last
         # axis never copies. Axis 2 is the stripe index within the batch.
         by_stripe = wide.reshape(rows, cols, count, chunk)
@@ -1488,8 +1461,7 @@ class ArrayStore:
 
         Batched pipeline: each round reads ``rebuild_batch`` stripes as
         one wide stripe (one contiguous span read per surviving disk),
-        bulk-decodes it with the compiled recovery plan — fanned out over
-        ``batch_workers`` processes when configured — and writes back
+        bulk-decodes it with the compiled recovery plan and writes back
         only the reconstructed columns, one gather write per failed disk.
         Surviving disks are read once and never written.
 
@@ -1534,10 +1506,8 @@ class ArrayStore:
         batch = max(1, min(self.rebuild_batch, count or 1))
         for base in range(start, start + count, batch):
             n = min(batch, start + count - base)
-            wide = self._load_stripe_batch(
-                base, n, shared=self.batch_workers > 1
-            )
-            decoder.decode_columns(wide, workers=self.batch_workers)
+            wide = self._load_stripe_batch(base, n)
+            decoder.decode_columns(wide)
             # Survivors already hold these bytes: write back only the
             # reconstructed columns.
             self._write_columns(base, wide, failed)
