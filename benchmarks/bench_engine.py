@@ -1,10 +1,12 @@
-"""Execution-engine ablation: interpreted vs compiled.
+"""Execution-engine ablation: interpreted vs numpy vs compiled kernel.
 
 Not a figure of the paper — this tracks the *engine* itself: the same
 XOR schedules executed by the interpreted reference
-(``XorSchedule.apply``) and by the compiled zero-allocation plan
-(``StripeCodec.encode_into`` / ``decode_into``), single-threaded as in
-the paper, on the Fig. 14 geometry (tip, n=12, 4 KiB packets, 32 MiB
+(``XorSchedule.apply`` on one matrix), by the compiled plan's numpy
+executor (``CompiledPlan.run_numpy``) and by the fused C kernel, both
+over one disk-order batch exactly as the store runs them
+(``ArrayCode.encode`` / ``Decoder.decode_columns``), single-threaded as
+in the paper, on the Fig. 14 geometry (tip, n=12, 4 KiB packets, 32 MiB
 region).
 
 Methodology — two things make the paired ratio reproducible where
@@ -19,18 +21,21 @@ independently timed single passes swing by 40% on a noisy host:
    large buffers by mmap and every pass pays the page faults, while
    after enough allocation churn (e.g. a long pytest run) it adaptively
    raises its mmap threshold and recycles arenas, hiding that cost.
-   The compiled engine preallocates everything once and is immune
-   either way — that immunity is the point of the design, and the
-   fresh-process protocol is what a short-lived encode tool sees.
+   The compiled engines run in place over a preallocated batch and
+   are immune either way — that immunity is the point of the design,
+   and the fresh-process protocol is what a short-lived encode tool
+   sees.
 
-The guards are exact counts that state why the compiled engine wins:
-it sweeps memory fewer times per data row on encode, executes fewer
-XORs on decode, and re-acquires an evicted decoder's plan without
-solving again. Speeds are recorded, never asserted. Byte-level
-equivalence of the engines is asserted on the benchmark geometry (the
-exhaustive check lives in tests/test_compiled_engine.py); throughputs
-land in ``results/`` and, when ``REPRO_BENCH_JSON`` is set, in the JSON
-file the CI smoke job publishes.
+The guards are exact counts that state why the compiled plan wins: it
+sweeps memory fewer times per data row on encode, executes fewer XORs
+on decode, and re-acquires an evicted decoder's plan without solving
+again. Speeds are recorded, never asserted; ``kernel`` records which
+executor the ``compiled`` engine ran (the numpy one on a host without a
+C compiler). Byte-level equivalence of the engines is asserted on the
+benchmark geometry (the exhaustive check lives in
+tests/test_xor_kernel.py); throughputs land in ``results/`` and, when
+``REPRO_BENCH_JSON`` is set, in the JSON file the CI smoke job
+publishes.
 """
 
 import itertools
@@ -62,37 +67,14 @@ def _best_rounds(passes, rounds=ROUNDS):
     return best
 
 
-def _roofline(plans):
-    """Measured host ceilings for ``plans``, a list of ``(plan, width)``.
+def _roofline():
+    """Streaming ceilings: ``xor_gib_s`` and ``memcpy_gib_s`` over
+    buffers far larger than any cache."""
+    from repro.bitmatrix.tuning import measure_memcpy_gib_s, measure_xor_gib_s
 
-    ``xor_gib_s`` and ``memcpy_gib_s`` are the streaming rates over
-    buffers far larger than any cache. ``tile_xor_gib_s`` is the ceiling
-    at the tile the plans execute: in-place XOR bandwidth over one op's
-    working set there, a destination row and a source row of
-    ``default_tile(width)`` bytes each, repeated so both stay
-    cache-resident. No memory pass of a tiled sweep can beat that op.
-    Plans with different tiles combine as a harmonic mean weighted by
-    their memory passes, so the ceiling prices the sweep actually run.
-    """
-    from repro.bitmatrix.tuning import (
-        measure_memcpy_gib_s,
-        measure_working_set_xor_gib_s,
-        measure_xor_gib_s,
-    )
-
-    ceilings = {}
-    ideal = passes = 0
-    for plan, width in plans:
-        tile = plan.default_tile(width)
-        if tile not in ceilings:
-            ceilings[tile] = measure_working_set_xor_gib_s(2 * tile)
-        ideal += plan.memory_passes / ceilings[tile]
-        passes += plan.memory_passes
     return {
         "memcpy_gib_s": measure_memcpy_gib_s(),
         "xor_gib_s": measure_xor_gib_s(),
-        "tile_bytes": sorted(ceilings),
-        "tile_xor_gib_s": passes / ideal,
     }
 
 
@@ -105,9 +87,16 @@ def _interpreted_passes(schedule):
     return sum(2 if op.assign else 1 for op in schedule.ops)
 
 
+def _batch(code, stripes, rng):
+    """A random disk-order batch ``(cols, stripes, rows, PACKET)``."""
+    return rng.integers(
+        0, 256, size=(code.cols, stripes, code.rows, PACKET), dtype=np.uint8
+    )
+
+
 def _encode_probe(data_bytes):
     """Paired encode timings; returns best seconds per engine."""
-    from repro.codec import StripeCodec, encode_schedule_for
+    from repro.codec import StripeCodec, encode_schedule_for, kernel_name
     from repro.codes import make_code
 
     code = make_code("tip", N)
@@ -116,34 +105,36 @@ def _encode_probe(data_bytes):
     width = stripes * PACKET
     rng = np.random.default_rng(1)
     data = rng.integers(0, 256, size=(code.num_data, width), dtype=np.uint8)
-    out = np.zeros((code.num_parity, width), dtype=np.uint8)
     packets = [data[i] for i in range(code.num_data)]
+    batch = _batch(code, stripes, rng)
 
     passes = {
         "interpreted": lambda: codec.encode_packets(packets),
-        "compiled": lambda: codec.encode_into(data, out),
+        "numpy": lambda: code.encode_plan.run_numpy(batch),
+        "compiled": lambda: code.encode(batch),
     }
     best = _best_rounds(passes)
     return {
+        "kernel": kernel_name("compiled"),
         "payload_bytes": code.num_data * width,
         "xors_per_element": codec.encode_xors / code.num_data,
         # Full-width row sweeps each engine performs per data row: the
         # compiled count converts payload GiB/s into achieved XOR-stream
         # GiB/s, and the pair states what run fusion saves.
-        "passes_per_data_row": codec.encode_plan.memory_passes
+        "passes_per_data_row": code.encode_plan.memory_passes
         / code.num_data,
         "interpreted_passes_per_data_row": _interpreted_passes(
             encode_schedule_for(code)
         )
         / code.num_data,
         "seconds": best,
-        "roofline": _roofline([(codec.encode_plan, width)]),
+        "roofline": _roofline(),
     }
 
 
 def _decode_probe(data_bytes):
     """Paired decode timings over sampled failure patterns."""
-    from repro.codec import StripeCodec
+    from repro.codec import StripeCodec, kernel_name
     from repro.codes import make_code
 
     code = make_code("tip", N)
@@ -155,30 +146,31 @@ def _decode_probe(data_bytes):
         list(itertools.combinations(range(code.cols), code.faults)),
         DECODE_PATTERNS,
     )
-    total = {"interpreted": 0.0, "compiled": 0.0}
+    batch = _batch(code, stripes, rng_np)
+    total = {"interpreted": 0.0, "numpy": 0.0, "compiled": 0.0}
     plans = []
     for combo in combos:
         decoder = code.decoder_for(combo)
-        plans.append((decoder.compiled_plan(), width))
+        plan = decoder.compiled_plan()
+        plans.append(plan)
         known = rng_np.integers(
             0,
             256,
             size=(len(decoder.plan.known_positions), width),
             dtype=np.uint8,
         )
-        out = np.zeros(
-            (len(decoder.plan.unknown_positions), width), dtype=np.uint8
-        )
         packets = [known[i] for i in range(known.shape[0])]
         passes = {
             "interpreted": lambda: decoder.plan.schedule.apply(packets),
-            "compiled": lambda: codec.decode_into(combo, known, out),
+            "numpy": lambda: plan.run_numpy(batch),
+            "compiled": lambda: decoder.decode_columns(batch),
         }
         best = _best_rounds(passes)
         for name, seconds in best.items():
             total[name] += seconds
     count = len(combos)
     return {
+        "kernel": kernel_name("compiled"),
         "payload_bytes": code.num_data * width * count,
         # Dense-schedule XORs: the paper's decode cost metric (what the
         # interpreted engine executes).
@@ -191,11 +183,11 @@ def _decode_probe(data_bytes):
             code.decoder_for(c).fused_xor_count for c in combos
         )
         / (code.num_data * count),
-        "passes_per_data_row": sum(plan.memory_passes for plan, _ in plans)
+        "passes_per_data_row": sum(plan.memory_passes for plan in plans)
         / (code.num_data * count),
         "seconds": total,
         "plan": _plan_probe(combos),
-        "roofline": _roofline(plans),
+        "roofline": _roofline(),
     }
 
 
@@ -284,23 +276,17 @@ def _roofline_fields(probe, speed):
     """Roofline record: measured ceilings + the compiled engine's share.
 
     The compiled payload throughput times memory passes per data row is
-    the XOR-stream bandwidth the engine achieved.
-    ``roofline_achieved_fraction`` divides it by the ceiling at the
-    executed tile, which no pass can beat, so it stays at most 1.0.
-    ``roofline_stream_fraction`` divides it by the streaming rate instead;
-    it exceeds 1.0 because the tiles run from cache.
+    the XOR-stream bandwidth the engine achieved;
+    ``roofline_stream_fraction`` divides it by the streaming rate. It
+    exceeds 1.0 because the kernel's tiles run from cache and its
+    multi-source loops stream several passes at once.
     """
     roofline = probe["roofline"]
     stream = speed["compiled"] * probe["passes_per_data_row"]
     return {
         "roofline_memcpy_gib_s": round(roofline["memcpy_gib_s"], 3),
         "roofline_gib_s": round(roofline["xor_gib_s"], 3),
-        "roofline_tile_gib_s": round(roofline["tile_xor_gib_s"], 3),
-        "tile_bytes": roofline["tile_bytes"],
         "passes_per_data_row": round(probe["passes_per_data_row"], 4),
-        "roofline_achieved_fraction": round(
-            stream / roofline["tile_xor_gib_s"], 3
-        ),
         "roofline_stream_fraction": round(stream / roofline["xor_gib_s"], 3),
     }
 
@@ -308,10 +294,7 @@ def _roofline_fields(probe, speed):
 def _roofline_line(roofline):
     return (
         f"roofline_gib_s stream={roofline['roofline_gib_s']:.2f} "
-        f"tile={roofline['roofline_tile_gib_s']:.2f} "
-        f"(tile_bytes={roofline['tile_bytes']}) "
-        f"achieved={roofline['roofline_achieved_fraction']:.2f} "
-        f"of tile, {roofline['roofline_stream_fraction']:.2f} of stream"
+        f"achieved={roofline['roofline_stream_fraction']:.2f} of stream"
     )
 
 
@@ -329,9 +312,12 @@ DATA_BYTES = scaled_bytes(32 << 20)
 
 def _engine_rows(speed):
     return format_table(
-        ["engine", "GiB/s", "vs interpreted"],
+        ["engine", "GiB/s", "vs interpreted", "vs numpy"],
         [
-            [name, f"{value:.3f}", f"{value / speed['interpreted']:.2f}"]
+            [
+                name, f"{value:.3f}", f"{value / speed['interpreted']:.2f}",
+                f"{value / speed['numpy']:.2f}",
+            ]
             for name, value in speed.items()
         ],
     )
@@ -346,7 +332,7 @@ def test_engine_encode_ablation():
         "engine_encode_ablation",
         [
             f"code=tip n={N} data_mb={DATA_BYTES >> 20} "
-            f"host_cpus={os.cpu_count()}",
+            f"host_cpus={os.cpu_count()} kernel={probe['kernel']}",
             *_engine_rows(speed),
             f"passes/data row compiled={probe['passes_per_data_row']:.2f} "
             f"interpreted={probe['interpreted_passes_per_data_row']:.2f}",
@@ -360,6 +346,7 @@ def test_engine_encode_ablation():
             "n": N,
             "data_bytes": DATA_BYTES,
             "host_cpus": os.cpu_count(),
+            "kernel": probe["kernel"],
             "xors_per_element": round(probe["xors_per_element"], 4),
             "interpreted_passes_per_data_row": round(
                 probe["interpreted_passes_per_data_row"], 4
@@ -391,7 +378,8 @@ def test_engine_decode_ablation():
         "engine_decode_ablation",
         [
             f"code=tip n={N} data_mb={DATA_BYTES >> 20} "
-            f"patterns={DECODE_PATTERNS} host_cpus={os.cpu_count()}",
+            f"patterns={DECODE_PATTERNS} host_cpus={os.cpu_count()} "
+            f"kernel={probe['kernel']}",
             *_engine_rows(speed),
             f"xors/elem dense={probe['xors_per_element']:.2f} "
             f"fused={probe['fused_xors_per_element']:.2f}",
@@ -411,6 +399,7 @@ def test_engine_decode_ablation():
             "n": N,
             "data_bytes": DATA_BYTES,
             "host_cpus": os.cpu_count(),
+            "kernel": probe["kernel"],
             "xors_per_element": round(probe["xors_per_element"], 4),
             "fused_xors_per_element": round(
                 probe["fused_xors_per_element"], 4
@@ -440,36 +429,35 @@ def test_engine_decode_ablation():
 
 
 def test_engine_paths_byte_identical():
-    """Both engines produce the same bytes on the bench geometry."""
-    from repro.codec import StripeCodec
+    """All three engines produce the same bytes on the bench geometry."""
+    from repro.bitmatrix.plan import cell_view
+    from repro.codec import encode_schedule_for
     from repro.codes import make_code
 
     code = make_code("tip", N)
-    codec = StripeCodec(code, packet_size=PACKET)
-    rng = np.random.default_rng(5)
-    width = PACKET * 8
-    data = rng.integers(0, 256, size=(code.num_data, width), dtype=np.uint8)
-    reference = codec.encode_packets([data[i] for i in range(len(data))])
-    compiled = codec.encode_into(data)
-    assert all(
-        np.array_equal(compiled[i], reference[i])
-        for i in range(code.num_parity)
-    )
+    batch = _batch(code, 8, np.random.default_rng(5))
 
-    combo = (0, 1, 2)
-    decoder = code.decoder_for(combo)
-    known = rng.integers(
-        0,
-        256,
-        size=(len(decoder.plan.known_positions), width),
-        dtype=np.uint8,
+    def check(schedule, plan, run, out_positions):
+        by_numpy, by_compiled = batch.copy(), batch.copy()
+        plan.run_numpy(by_numpy)
+        run(by_compiled)
+        assert np.array_equal(by_numpy, by_compiled)
+        cells = cell_view(batch)
+        reference = schedule.apply(
+            [np.ascontiguousarray(cells[pos]).reshape(-1) for pos in plan.in_cells]
+        )
+        compiled = cell_view(by_compiled)
+        for index, pos in enumerate(out_positions):
+            assert np.array_equal(compiled[pos].reshape(-1), reference[index])
+
+    check(
+        encode_schedule_for(code), code.encode_plan, code.encode,
+        code.parity_positions,
     )
-    single = codec.decode_into(combo, known)
-    # The compiled engine executes the fused two-stage plan; it must be
+    # The compiled engines execute the fused two-stage plan; it must be
     # byte-identical to the interpreted dense schedule it replaced.
-    dense = decoder.plan.schedule.apply(
-        [known[i] for i in range(known.shape[0])]
-    )
-    assert all(
-        np.array_equal(single[i], dense[i]) for i in range(len(dense))
+    decoder = code.decoder_for((0, 1, 2))
+    check(
+        decoder.plan.schedule, decoder.compiled_plan(),
+        decoder.decode_columns, decoder.plan.unknown_positions,
     )

@@ -15,6 +15,9 @@ erased columns. This subpackage provides that machinery:
   flat zero-allocation plans (in-place XORs, dead-code elimination,
   liveness-based workspace reuse, cache-blocked tiling) for the
   steady-state encode/decode/rebuild hot paths.
+* :mod:`repro.bitmatrix.kernel` — the fused C kernel that runs a plan
+  over every stripe of a grid or batch in one call, compiled at first
+  import; the numpy executor is its fallback.
 """
 
 from repro.bitmatrix.ops import (

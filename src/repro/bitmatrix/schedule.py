@@ -98,7 +98,11 @@ class XorSchedule:
         packets = [np.array([b], dtype=np.uint8) for b in bits]
         return np.array([p[0] for p in self.apply(packets)], dtype=np.uint8)
 
-    def compile(self, needed_outputs: list[int] | tuple[int, ...] | None = None):
+    def compile(
+        self,
+        needed_outputs: list[int] | tuple[int, ...] | None = None,
+        cells=None,
+    ):
         """Lower to a :class:`~repro.bitmatrix.plan.CompiledPlan`.
 
         The compiled plan executes the same XOR program with zero
@@ -106,11 +110,13 @@ class XorSchedule:
         buffers), cache-blocked tiling, and — when ``needed_outputs``
         restricts the result — dead-code elimination plus workspace reuse
         for the intermediate outputs that remain. Output bytes are
-        identical to :meth:`apply`.
+        identical to :meth:`apply`. ``cells`` places the rows in a grid
+        for :meth:`CompiledPlan.run` (see :func:`~repro.bitmatrix.plan.
+        compile_schedule`).
         """
         from repro.bitmatrix.plan import CompiledPlan
 
-        return CompiledPlan(self, needed_outputs)
+        return CompiledPlan(self, needed_outputs, cells)
 
 
 def naive_schedule(matrix: np.ndarray) -> XorSchedule:

@@ -23,15 +23,16 @@ guess with these one-time measurements:
 Results are cached per process in a :class:`HostProfile`;
 :func:`host_profile` is what :meth:`CompiledPlan.default_tile` consumes.
 Tests pin the profile with :func:`set_host_profile` to make tile policy
-deterministic. :func:`measure_working_set_xor_gib_s` is also the
-roofline of ``benchmarks/bench_engine.py``, taken at the tile a plan
-actually executes.
+deterministic. The streaming rates are also the roofline of
+``benchmarks/bench_engine.py``.
 
 The measurement is not free: the streaming buffers add about 64 MiB to
 the process's peak memory and the whole calibration takes ~0.1 s. It
-runs only for plans wider than the tile clamp floor
-(:data:`repro.bitmatrix.plan._TILE_MIN`, 32 KiB), where the answer can
-change the tile; narrower request-path plans never trigger it.
+runs only when :meth:`CompiledPlan.execute_into` tiles rows wider than
+the tile clamp floor (:data:`repro.bitmatrix.plan._TILE_MIN`, 32 KiB),
+where the answer can change the tile. Whole-grid runs (the store's
+encodes, decodes and rebuilds) never trigger it: the kernel tiles by
+itself.
 """
 
 from __future__ import annotations

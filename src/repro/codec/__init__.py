@@ -5,8 +5,9 @@ with 4 KB packets on one core. :mod:`repro.codec.engine` reproduces that
 methodology on numpy buffers: the XOR schedules derived from each code's
 chains/parity-check matrix are executed on large packets, so throughput is
 dominated by the same per-element XOR counts that Figs. 14b/15b report.
-The default engine executes schedules as compiled zero-allocation plans
-(:mod:`repro.bitmatrix.plan`) on one core, as the paper does.
+The default engine runs what the store runs: compiled plans
+(:mod:`repro.bitmatrix.plan`) over a disk-order batch, one fused C
+kernel call per encode or decode, on one core, as the paper does.
 """
 
 from repro.codec.engine import (

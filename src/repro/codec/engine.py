@@ -2,20 +2,22 @@
 
 Encoding multiplies the data vector by the generator's parity rows;
 decoding replays a :class:`~repro.codes.base.Decoder` recovery schedule.
-Two execution engines are available:
+The throughput measurers run one of three engines:
 
-* ``interpreted`` — :meth:`XorSchedule.apply`, the reference executor
-  (fresh packet per assign step); kept as the equivalence oracle.
-* ``compiled`` (default) — :class:`~repro.bitmatrix.plan.CompiledPlan`:
-  the schedule lowered once to a flat in-place program executed with
-  zero per-step allocation and cache-blocked column tiling, via
-  :meth:`StripeCodec.encode_into` / :meth:`StripeCodec.decode_into` on
-  one contiguous ``(num_elements, width)`` uint8 matrix.
+* ``compiled`` (default) — what the store runs: ``ArrayCode.encode`` /
+  ``Decoder.decode_columns`` over a disk-order batch, one call of the
+  fused C kernel (:mod:`repro.bitmatrix.kernel`) per encode or decode;
+  the numpy executor where no kernel could be built;
+* ``numpy`` — :meth:`~repro.bitmatrix.plan.CompiledPlan.run_numpy`, the
+  same compiled plan over the same batch as numpy ufuncs: the kernel's
+  oracle and its no-compiler fallback;
+* ``interpreted`` — :meth:`XorSchedule.apply` of the dense schedule on
+  one ``(num_elements, width)`` matrix, the reference executor (fresh
+  packet per assign step).
 
-Both are the Python equivalent of the word-wise XOR loops the paper's C
-implementation runs, so relative speeds track XOR counts; the compiled
-engine removes the interpreter's allocation and DRAM traffic overheads.
-Both run on one core, as the paper's measurements do.
+:meth:`StripeCodec.encode_into` / :meth:`StripeCodec.decode_into` run
+the compiled plan's tiled numpy executor on contiguous matrices. Every
+engine runs on one core, as the paper's word-wise C XOR loops do.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmatrix import XorSchedule, smart_schedule
-from repro.codes.base import ArrayCode
+from repro.bitmatrix import kernel
+from repro.codes.base import ArrayCode, encode_schedule_for
 
 __all__ = [
     "StripeCodec",
@@ -41,48 +42,14 @@ __all__ = [
 ]
 
 #: Supported execution engines for the throughput measurers.
-ENGINES = ("compiled", "interpreted")
+ENGINES = ("compiled", "numpy", "interpreted")
 
 #: Kernel identifiers the measurers dispatch to, pinned by tests so a
 #: refactor can never silently reroute a measurement (e.g. an
 #: interpreted ``schedule.apply`` leaking into a compiled-engine number).
 KERNEL_INTERPRETED = "XorSchedule.apply"
-KERNEL_COMPILED = "CompiledPlan.execute_into"
-
-# ----------------------------------------------------------------------
-# encode-schedule memoization
-# ----------------------------------------------------------------------
-#: Greedy bit-matrix scheduling is quadratic in parity rows and runs per
-#: StripeCodec construction; benchmarks that rebuild codecs per run were
-#: paying that search repeatedly. Keyed by geometry *and* the parity
-#: submatrix bytes, so two same-named codes with different chains can
-#: never collide; small LRU because entries are tiny but unbounded
-#: growth across a long sweep of geometries would not be.
-_SCHEDULE_CACHE: OrderedDict[tuple, XorSchedule] = OrderedDict()
-_SCHEDULE_CACHE_MAX = 32
-
-
-def encode_schedule_for(code: ArrayCode) -> XorSchedule:
-    """The memoized encode schedule (parity rows of the generator).
-
-    Operating on the expanded (pure-data) rows lets the scheduler share
-    common subexpressions across chained parities; memoization makes
-    repeated ``StripeCodec`` construction for the same code geometry
-    O(1) after the first.
-    """
-    generator = code.generator_matrix()
-    parity_rows = [code.element_index[pos] for pos in code.parity_positions]
-    matrix = np.ascontiguousarray(generator[parity_rows, :])
-    key = (code.name, code.rows, code.cols, code.faults, matrix.tobytes())
-    schedule = _SCHEDULE_CACHE.get(key)
-    if schedule is None:
-        schedule = smart_schedule(matrix)
-        _SCHEDULE_CACHE[key] = schedule
-        while len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_MAX:
-            _SCHEDULE_CACHE.popitem(last=False)
-    else:
-        _SCHEDULE_CACHE.move_to_end(key)
-    return schedule
+KERNEL_NUMPY = "CompiledPlan.run_numpy"
+KERNEL_COMPILED = "xor_kernel.xor_plan"
 
 
 class StripeCodec:
@@ -109,7 +76,7 @@ class StripeCodec:
         self.packet_size = packet_size
         self.tile_bytes = tile_bytes
         self._encode_schedule = encode_schedule_for(code)
-        self._encode_plan = self._encode_schedule.compile()
+        self._encode_plan = code.encode_plan
 
     @property
     def data_bytes_per_stripe(self) -> int:
@@ -312,13 +279,29 @@ def kernel_name(engine: str) -> str:
 
     * ``"interpreted"`` → :data:`KERNEL_INTERPRETED` — the reference
       ``XorSchedule.apply`` of the *dense* schedule;
-    * ``"compiled"`` → :data:`KERNEL_COMPILED` — the same run-fused
-      ``CompiledPlan.execute_into`` that :meth:`StripeCodec.encode_into`
-      / :meth:`StripeCodec.decode_into` execute.
+    * ``"numpy"`` → :data:`KERNEL_NUMPY` — ``CompiledPlan.run_numpy``;
+    * ``"compiled"`` → :data:`KERNEL_COMPILED`, the fused C kernel the
+      store's encodes and decodes run, or :data:`KERNEL_NUMPY` when no
+      kernel could be built (the store then runs numpy too).
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return KERNEL_INTERPRETED if engine == "interpreted" else KERNEL_COMPILED
+    if engine == "interpreted":
+        return KERNEL_INTERPRETED
+    if engine == "compiled" and kernel.XOR_PLAN is not None:
+        return KERNEL_COMPILED
+    return KERNEL_NUMPY
+
+
+def _random_batch(
+    code: ArrayCode, stripes: int, packet_size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A disk-order batch ``(cols, stripes, rows, packet_size)`` of
+    random bytes: the layout the store encodes and decodes."""
+    return rng.integers(
+        0, 256, size=(code.cols, stripes, code.rows, packet_size),
+        dtype=np.uint8,
+    )
 
 
 def measure_encode_throughput(
@@ -327,31 +310,32 @@ def measure_encode_throughput(
     packet_size: int = 4096,
     seed: int = 0,
     engine: str = "compiled",
-    tile_bytes: int | None = None,
 ) -> ThroughputResult:
     """Encode ``data_bytes`` of random data; report GiB/s (Fig. 14a).
 
-    Packets of all stripes are batched into one ``(num_data, S)`` buffer
-    so a stripe's worth of XOR work runs as a handful of large vectorized
-    XORs, mirroring the paper's memory-bandwidth-bound setup. ``engine``
-    selects interpreted vs compiled execution.
+    The compiled and numpy engines encode every stripe of one random
+    disk-order batch in one call, as the store's wide writes do; the
+    interpreted engine runs the schedule over one ``(num_data, S)``
+    matrix. Plan compilation happens before the clock starts.
     """
-    kernel = kernel_name(engine)
-    codec = StripeCodec(code, packet_size, tile_bytes=tile_bytes)
+    chosen = kernel_name(engine)
+    codec = StripeCodec(code, packet_size)
     stripes = -(-data_bytes // codec.data_bytes_per_stripe)  # ceil division
     width = stripes * packet_size
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, 256, size=(code.num_data, width), dtype=np.uint8)
-    if kernel == KERNEL_INTERPRETED:
+    if chosen == KERNEL_INTERPRETED:
+        data = rng.integers(0, 256, size=(code.num_data, width), dtype=np.uint8)
         packets = [data[i] for i in range(code.num_data)]
         start = time.perf_counter()
         codec.encode_packets(packets)
         elapsed = time.perf_counter() - start
     else:
-        out = np.empty((code.num_parity, width), dtype=np.uint8)
-        out.fill(0)  # fault the pages outside the timed region
+        batch = _random_batch(code, stripes, packet_size, rng)
+        run = code.encode if chosen == KERNEL_COMPILED else (
+            code.encode_plan.run_numpy
+        )
         start = time.perf_counter()
-        codec.encode_into(data, out)
+        run(batch)
         elapsed = time.perf_counter() - start
     return ThroughputResult(
         name=code.name,
@@ -368,7 +352,6 @@ def measure_decode_throughput(
     patterns: int = 10,
     seed: int = 0,
     engine: str = "compiled",
-    tile_bytes: int | None = None,
 ) -> ThroughputResult:
     """Average decoding throughput over random failures (Fig. 15a).
 
@@ -378,17 +361,22 @@ def measure_decode_throughput(
     per second of recovery work, averaged across patterns. Schedule
     construction and plan compilation (the algebra) are excluded,
     matching the paper's steady-state measurement. The compiled engine
-    times :meth:`StripeCodec.decode_into` itself — the fused two-stage
-    plan, exactly the production path — while ``xors_per_element``
-    always reports the dense schedule's count (the paper's decode cost
-    metric; see ``Decoder.fused_xor_count`` for the executed count).
+    times ``Decoder.decode_columns`` over one random disk-order batch —
+    the fused two-stage plan in one kernel call, exactly what rebuild
+    runs — while ``xors_per_element`` always reports the dense
+    schedule's count (the paper's decode cost metric; see
+    ``Decoder.fused_xor_count`` for the executed count).
     """
-    kernel = kernel_name(engine)
-    codec = StripeCodec(code, packet_size, tile_bytes=tile_bytes)
+    chosen = kernel_name(engine)
+    codec = StripeCodec(code, packet_size)
     stripes = -(-data_bytes // codec.data_bytes_per_stripe)  # ceil division
     width = stripes * packet_size
     rng_np = np.random.default_rng(seed)
     rng = random.Random(seed)
+    batch = (
+        None if chosen == KERNEL_INTERPRETED
+        else _random_batch(code, stripes, packet_size, rng_np)
+    )
     all_combos = list(
         itertools.combinations(range(code.cols), code.faults)
     )
@@ -401,22 +389,22 @@ def measure_decode_throughput(
     total_xor_per_elem = 0.0
     for combo in combos:
         decoder = code.decoder_for(combo)
-        num_known = len(decoder.plan.known_positions)
-        num_unknown = len(decoder.plan.unknown_positions)
-        fill = rng_np.integers(
-            0, 256, size=(num_known, width), dtype=np.uint8
-        )
-        if kernel == KERNEL_INTERPRETED:
+        plan = decoder.compiled_plan()  # compile outside the timed region
+        if chosen == KERNEL_INTERPRETED:
+            num_known = len(decoder.plan.known_positions)
+            fill = rng_np.integers(
+                0, 256, size=(num_known, width), dtype=np.uint8
+            )
             packets = [fill[i] for i in range(num_known)]
             start = time.perf_counter()
             decoder.plan.schedule.apply(packets)
             total_seconds += time.perf_counter() - start
         else:
-            out = np.empty((num_unknown, width), dtype=np.uint8)
-            out.fill(0)  # fault the pages outside the timed region
-            decoder.compiled_plan()  # compile outside the timed region
+            run = decoder.decode_columns if chosen == KERNEL_COMPILED else (
+                plan.run_numpy
+            )
             start = time.perf_counter()
-            codec.decode_into(combo, fill, out)
+            run(batch)
             total_seconds += time.perf_counter() - start
         total_xor_per_elem += decoder.xor_count / code.num_data
     count = len(combos)

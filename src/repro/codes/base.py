@@ -44,12 +44,14 @@ from repro.bitmatrix import (
     fuse_stages,
     smart_schedule,
 )
+from repro.bitmatrix.plan import cell_view
 
 __all__ = [
     "Cell",
     "Position",
     "ArrayCode",
     "Decoder",
+    "encode_schedule_for",
     "shorten",
     "DEFAULT_DECODER_CACHE_SIZE",
 ]
@@ -62,6 +64,38 @@ DEFAULT_DECODER_CACHE_SIZE = 64
 
 Position = tuple[int, int]
 """Grid coordinate ``(row, col)`` of an element."""
+
+#: Greedy bit-matrix scheduling is quadratic in parity rows, and codes
+#: are rebuilt freely (``make_code`` returns a new instance per call).
+#: Keyed by geometry *and* the parity submatrix bytes, so two same-named
+#: codes with different chains can never collide; small LRU because
+#: entries are tiny but unbounded growth across a long sweep of
+#: geometries would not be.
+_SCHEDULE_CACHE: OrderedDict[tuple, XorSchedule] = OrderedDict()
+_SCHEDULE_CACHE_MAX = 32
+
+
+def encode_schedule_for(code: "ArrayCode") -> XorSchedule:
+    """The memoized encode schedule (parity rows of the generator).
+
+    Operating on the expanded (pure-data) rows lets the scheduler share
+    common subexpressions across chained parities. Inputs are the data
+    cells in logical order, outputs the parity cells in
+    ``code.parity_positions`` order.
+    """
+    generator = code.generator_matrix()
+    parity_rows = [code.element_index[pos] for pos in code.parity_positions]
+    matrix = np.ascontiguousarray(generator[parity_rows, :])
+    key = (code.name, code.rows, code.cols, code.faults, matrix.tobytes())
+    schedule = _SCHEDULE_CACHE.get(key)
+    if schedule is None:
+        schedule = smart_schedule(matrix)
+        _SCHEDULE_CACHE[key] = schedule
+        while len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_MAX:
+            _SCHEDULE_CACHE.popitem(last=False)
+    else:
+        _SCHEDULE_CACHE.move_to_end(key)
+    return schedule
 
 
 class Cell(IntEnum):
@@ -403,28 +437,38 @@ class ArrayCode:
         data = rng.integers(0, 256, size=(self.num_data, packet_size), dtype=np.uint8)
         return self.make_stripe(data)
 
+    @cached_property
+    def encode_plan(self) -> CompiledPlan:
+        """The compiled encode schedule, placed on the grid: data cells
+        in, parity cells out."""
+        return encode_schedule_for(self).compile(
+            cells=(self.data_positions, self.parity_positions)
+        )
+
     def encode(self, stripe: np.ndarray) -> np.ndarray:
         """Fill all parity elements of ``stripe`` in place (Eqs. 1-3 etc.).
 
-        Parities are evaluated in chain-dependency order so chained codes
-        (STAR, Triple-Star) encode correctly.
+        ``stripe`` is a 3-D grid ``(rows, cols, S)`` or a 4-D disk-order
+        batch ``(cols, stripes, rows, chunk)``; one run of
+        :attr:`encode_plan` (the parities expanded to data terms, so
+        chained codes need no evaluation order) encodes every stripe.
         """
         self._check_stripe(stripe)
-        for parity in self.encoding_order:
-            acc = stripe[parity[0], parity[1]]
-            acc[:] = 0
-            for row, col in self.chains[parity]:
-                np.bitwise_xor(acc, stripe[row, col], out=acc)
+        self.encode_plan.run(stripe)
         return stripe
 
     def extract_data(self, stripe: np.ndarray) -> np.ndarray:
-        """Return the ``(num_data, packet_size)`` logical data packets."""
+        """Return the ``(num_data, packet_size)`` logical data packets
+        (``(num_data, stripes, chunk)`` for a batch)."""
         self._check_stripe(stripe)
-        return np.stack([stripe[r, c] for r, c in self.data_positions])
+        cells = cell_view(stripe)
+        return np.stack([cells[r, c] for r, c in self.data_positions])
 
     def verify_stripe(self, stripe: np.ndarray) -> bool:
-        """True iff every parity chain XORs to zero and EMPTY cells are 0."""
+        """True iff every parity chain XORs to zero and EMPTY cells are 0
+        (in every stripe, for a batch)."""
         self._check_stripe(stripe)
+        stripe = cell_view(stripe)
         for row in range(self.rows):
             for col in range(self.cols):
                 if self._grid[row, col] == Cell.EMPTY and stripe[row, col].any():
@@ -443,18 +487,21 @@ class ArrayCode:
         for col in failed:
             if not 0 <= col < self.cols:
                 raise ValueError(f"column {col} out of range")
-            stripe[:, col, :] = 0
+            cell_view(stripe)[:, col] = 0
         return stripe
 
     def _check_stripe(self, stripe: np.ndarray) -> None:
-        if (
-            not isinstance(stripe, np.ndarray)
-            or stripe.ndim != 3
-            or stripe.shape[:2] != (self.rows, self.cols)
-            or stripe.dtype != np.uint8
+        """Accept a 3-D grid ``(rows, cols, S)`` or a 4-D disk-order
+        batch ``(cols, stripes, rows, chunk)`` of this geometry."""
+        if not (
+            isinstance(stripe, np.ndarray)
+            and stripe.dtype == np.uint8
+            and stripe.ndim in (3, 4)
+            and cell_view(stripe).shape[:2] == (self.rows, self.cols)
         ):
             raise ValueError(
-                f"stripe must be uint8 of shape ({self.rows},{self.cols},S)"
+                f"stripe must be uint8 of shape ({self.rows},{self.cols},S) "
+                f"or ({self.cols},stripes,{self.rows},chunk)"
             )
 
     # ------------------------------------------------------------------
@@ -773,7 +820,10 @@ class Decoder:
                     for i, pos in enumerate(self.plan.unknown_positions)
                     if pos[1] in key
                 ]
-            return self.plan.fused_schedule.compile(needed)
+            return self.plan.fused_schedule.compile(
+                needed,
+                cells=(self.plan.known_positions, self.plan.unknown_positions),
+            )
 
         return _lru_get_or_set(
             self.code._compiled_plan_cache,
@@ -786,14 +836,12 @@ class Decoder:
         self, only_cols: tuple[int, ...] | None = None
     ) -> list[Position]:
         """Positions :meth:`decode_columns` writes for this subset."""
-        plan = self.compiled_plan(only_cols)
-        return [self.plan.unknown_positions[i] for i in plan.outputs]
+        return list(self.compiled_plan(only_cols).out_cells)
 
     def decode_columns(
         self,
         stripe: np.ndarray,
         only_cols: tuple[int, ...] | None = None,
-        tile_bytes: int | None = None,
     ) -> None:
         """Reconstruct erased elements of ``stripe`` in place.
 
@@ -803,21 +851,15 @@ class Decoder:
         results back.
 
         Args:
-            stripe: the damaged stripe.
+            stripe: the damaged stripe: a 3-D grid ``(rows, cols, S)``
+                or a 4-D disk-order batch ``(cols, stripes, rows,
+                chunk)``, whose stripes one plan run decodes.
             only_cols: if given, write back only these columns' elements
                 (used by iterative reconstruction to recover one disk from
                 the full-system solution).
-            tile_bytes: cache-tile override for the compiled plan.
         """
-        compiled = self.compiled_plan(only_cols)
-        positions = [
-            self.plan.unknown_positions[i] for i in compiled.outputs
-        ]
-        if not positions:
-            return
-        knowns = [stripe[r, c] for r, c in self.plan.known_positions]
-        outs = [stripe[r, c] for r, c in positions]
-        compiled.execute_into(knowns, outs, tile_bytes=tile_bytes)
+        self.code._check_stripe(stripe)
+        self.compiled_plan(only_cols).run(stripe)
 
 
 def shorten(

@@ -617,18 +617,12 @@ class FaultyDiskBackend:
             raise LatentSectorError(disk, hit)
         return self._raw_read(disk, offset, length)
 
-    def write(self, disk: int, offset: int, data: "bytes | list") -> None:
+    def write(self, disk: int, offset: int, data) -> None:
         """Write a span; a successful write remaps covered bad sectors.
 
-        ``data`` is one buffer, or a list of buffers laid end to end
-        (the store's gather writes).
+        ``data`` is one contiguous buffer (bytes or an array).
         """
-        length = (
-            sum(memoryview(part).nbytes for part in data)
-            if isinstance(data, list)
-            else len(data)
-        )
-        lbas = self._lbas(offset, length)
+        lbas = self._lbas(offset, memoryview(data).nbytes)
         self._gate(disk, lbas, write=True)
         self._raw_write(disk, offset, data)
         self.plan.note_write(disk, lbas)

@@ -1,11 +1,11 @@
 """Incremental online scrubbing: detect, classify, and repair in place.
 
 The scrubber walks the store's stripes in bounded batches. Each batch is
-read as one wide grid (:meth:`ArrayStore.read_stripes` — one span read
-per surviving disk) and checked with vectorized parity syndromes over the
-wide packets; only stripes with a violated chain (or a latent-read error)
-pay the per-stripe repair path. Classification is pure parity-check
-algebra (:func:`classify_stripe`):
+read as one disk-order batch (:meth:`ArrayStore.read_stripes` — one span
+read per surviving disk) and checked with vectorized parity syndromes
+over every stripe at once; only stripes with a violated chain (or a
+latent-read error) pay the per-stripe repair path. Classification is
+pure parity-check algebra (:func:`classify_stripe`):
 
 * **clean** — every chain XORs to zero and every structural-zero (EMPTY)
   cell is zero;
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bitmatrix.plan import cell_view
 from repro.codes.base import ArrayCode, Cell
 from repro.faults.inject import LatentSectorError
 from repro.store.metering import IoCounters
@@ -86,6 +87,7 @@ def classify_stripe(
     * ``("ambiguous", None, None)`` — the violation pattern matches no
       unique single element: multiple errors or unlocalizable damage.
     """
+    stripe = cell_view(stripe)
     for row in range(code.rows):
         for col in range(code.cols):
             if code.kind(row, col) == Cell.EMPTY and stripe[row, col].any():
@@ -257,26 +259,26 @@ class Scrubber:
         """
         store = self.store
         code = store.code
-        chunk = store.chunk_bytes
         try:
-            wide = store.read_stripes(start, count)
+            batch = store.read_stripes(start, count)
         except LatentSectorError as exc:
             logger.debug(
                 "scrub: batch [%d, %d) demoted to per-stripe reads (%s)",
                 start, start + count, exc,
             )
             return list(range(start, start + count))
+        # Each cell is a (count, chunk) view: one row per stripe.
+        cells = cell_view(batch)
         dirty = np.zeros(count, dtype=bool)
         for parity, members in code.chains.items():
-            acc = wide[parity[0], parity[1]].copy()
-            for row, col in members:
-                np.bitwise_xor(acc, wide[row, col], out=acc)
-            dirty |= acc.reshape(count, chunk).any(axis=1)
+            acc = cells[parity].copy()
+            for member in members:
+                np.bitwise_xor(acc, cells[member], out=acc)
+            dirty |= acc.any(axis=1)
         for row in range(code.rows):
             for col in range(code.cols):
                 if code.kind(row, col) == Cell.EMPTY:
-                    cell = wide[row, col].reshape(count, chunk)
-                    dirty |= cell.any(axis=1)
+                    dirty |= cells[row, col].any(axis=1)
         return [start + i for i in np.flatnonzero(dirty)]
 
     def _read_stripe_tolerant(

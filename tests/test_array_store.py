@@ -1,5 +1,7 @@
 """Tests for the file-backed erasure-coded chunk store."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,32 @@ class TestBasics:
         first.write_chunks(0, data)
         second = ArrayStore(code, tmp_path, stripes=4, chunk_bytes=CHUNK)
         assert np.array_equal(second.read_chunks(0, 6), data)
+
+
+class TestHandles:
+    def test_every_disk_opened_with_random_access_advice(
+        self, store, monkeypatch
+    ):
+        """The store reads exact spans: each disk handle is opened with
+        ``POSIX_FADV_RANDOM`` so readahead fetches nothing extra."""
+        if not hasattr(os, "posix_fadvise"):
+            pytest.skip("platform has no posix_fadvise")
+        advised = []
+        real = os.posix_fadvise
+
+        def record(fd, offset, length, advice):
+            advised.append((fd, offset, length, advice))
+            real(fd, offset, length, advice)
+
+        monkeypatch.setattr(os, "posix_fadvise", record)
+        store.write_chunks(0, random_chunks(store.capacity_chunks, seed=9))
+        assert store.read_chunks(0, 1).shape == (1, CHUNK)
+        fds = {disk: handle.fileno() for disk, handle in store._handles.items()}
+        assert sorted(fds) == list(range(store.code.cols))
+        assert sorted(advised) == sorted(
+            (fd, 0, 0, os.POSIX_FADV_RANDOM) for fd in fds.values()
+        )
+        store.close()
 
 
 class TestFailures:

@@ -19,7 +19,8 @@ from repro.bitmatrix import (
     set_host_profile,
     smart_schedule,
 )
-from repro.bitmatrix.plan import BUF_WS, TILE_ALIGN, _TILE_MAX, _WIDE_WORD_MIN
+from repro.bitmatrix import kernel
+from repro.bitmatrix.plan import TILE_ALIGN, _TILE_MAX, _WIDE_WORD_MIN
 from repro.codec import (
     StripeCodec,
     encode_schedule_for,
@@ -364,13 +365,12 @@ class TestStoreBatchedRebuild:
     def test_batch_loader_matches_single_stripe_loads(self, tmp_path):
         store = self.make_store(tmp_path)
         self.fill(store, seed=9)
-        wide = store._load_stripe_batch(1, 3)
-        rows, cols = store.code.rows, store.code.cols
-        by_stripe = wide.reshape(rows, cols, 3, self.CHUNK)
+        batch = store._load_stripe_batch(1, 3)
+        assert batch.shape == (
+            store.code.cols, 3, store.code.rows, self.CHUNK
+        )
         for i in range(3):
-            assert np.array_equal(
-                by_stripe[:, :, i, :], store._load_stripe(1 + i)
-            )
+            assert np.array_equal(batch[:, i], store._load_stripe(1 + i)[:, 0])
 
     def test_batch_params_validated(self, tmp_path):
         with pytest.raises(ValueError, match="rebuild_batch"):
@@ -632,9 +632,13 @@ class TestTileRules:
 # engine strings pin kernels (what the throughput measurers time)
 # ----------------------------------------------------------------------
 class TestKernelPinning:
-    def test_engine_strings_pin_kernels(self):
+    def test_engine_strings_pin_kernels(self, monkeypatch):
         assert kernel_name("interpreted") == "XorSchedule.apply"
-        assert kernel_name("compiled") == "CompiledPlan.execute_into"
+        assert kernel_name("numpy") == "CompiledPlan.run_numpy"
+        if kernel.XOR_PLAN is not None:
+            assert kernel_name("compiled") == "xor_kernel.xor_plan"
+        monkeypatch.setattr(kernel, "XOR_PLAN", None)
+        assert kernel_name("compiled") == "CompiledPlan.run_numpy"
 
     def test_kernel_name_validates_like_the_measurers(self):
         with pytest.raises(ValueError, match="engine"):

@@ -4,7 +4,7 @@
   host calibration of :mod:`repro.bitmatrix.tuning`, and the tile it
   gets is the one the calibrated formula gives at every width.
 * Rebuild reads each surviving disk once per batch and writes back only
-  the reconstructed columns, one gather write per failed disk: surviving
+  the reconstructed columns, one write per failed disk: surviving
   disks are never written, so a fault plan sees only reads on them and
   keeps the corruption records it has there.
 """
@@ -178,8 +178,8 @@ class TestRebuildWriteBack:
             store.rebuild()
             batches = math.ceil(12 / 5)
             for disk in range(code.cols):
-                # One span read per batch on a survivor, one gather
-                # write per batch on a rebuilt disk, nothing else.
+                # One span read per batch on a survivor, one write per
+                # batch on a rebuilt disk, nothing else.
                 assert plan.ops(disk) - before[disk] == batches, disk
 
     def test_rebuild_keeps_survivor_corruption_records(self, tmp_path):
@@ -202,11 +202,12 @@ class TestRebuildWriteBack:
             # Four survivor span reads and one write-back span.
             assert plan.stats.ops - ops == 5
 
-    def test_gather_list_longer_than_iov_max(self, tmp_path):
-        """A batch with more chunk views per disk than one ``pwritev``
-        takes still lands every byte, in consecutive calls."""
+    def test_one_write_per_failed_disk_past_iov_max_chunks(self, tmp_path):
+        """A batch holding more chunks per disk than one vectored call
+        takes buffers (``IOV_MAX``) is still one contiguous buffer per
+        disk: one write per failed disk, every byte landed."""
         code = make_code("tip", 8)
-        stripes = 200  # 200 * 6 rows = 1200 views per failed disk
+        stripes = 200  # 200 * 6 rows = 1200 chunks per failed disk
         with ArrayStore(
             code, tmp_path, stripes=stripes, chunk_bytes=64,
             rebuild_batch=stripes,
@@ -216,7 +217,8 @@ class TestRebuildWriteBack:
             before = store.syscalls.snapshot()
             store.rebuild()
             spent = store.syscalls - before
-            assert spent.vector_writes == 2 * len(FAILED)
+            assert spent.writes + spent.vector_writes == len(FAILED)
+            assert spent.reads + spent.vector_reads == code.cols - len(FAILED)
             assert store.scrub() == []
             assert np.array_equal(
                 store.read_bytes(0, store.capacity_bytes), data
