@@ -67,11 +67,39 @@ def _best_rounds(passes, rounds=ROUNDS):
     return best
 
 
+#: Buffer size for the streaming ceilings: large enough to defeat any
+#: per-core cache slice, small enough to allocate instantly.
+STREAM_BYTES = 32 << 20
+
+
+def _best_seconds(fn, reps=3):
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return max(best, 1e-9)
+
+
+def measure_memcpy_gib_s(nbytes=STREAM_BYTES):
+    """Streaming ``np.copyto`` bandwidth in GiB/s."""
+    src = np.ones(nbytes, dtype=np.uint8)
+    dst = np.empty(nbytes, dtype=np.uint8)
+    dst[:] = 0  # fault the pages outside the timed region
+    return nbytes / _best_seconds(lambda: np.copyto(dst, src)) / (1 << 30)
+
+
+def measure_xor_gib_s(nbytes=STREAM_BYTES):
+    """Streaming in-place XOR bandwidth in GiB/s (destination bytes)."""
+    src = np.full(nbytes, 0x5A, dtype=np.uint8)
+    dst = np.ones(nbytes, dtype=np.uint8)
+    seconds = _best_seconds(lambda: np.bitwise_xor(dst, src, out=dst))
+    return nbytes / seconds / (1 << 30)
+
+
 def _roofline():
     """Streaming ceilings: ``xor_gib_s`` and ``memcpy_gib_s`` over
     buffers far larger than any cache."""
-    from repro.bitmatrix.tuning import measure_memcpy_gib_s, measure_xor_gib_s
-
     return {
         "memcpy_gib_s": measure_memcpy_gib_s(),
         "xor_gib_s": measure_xor_gib_s(),
@@ -96,12 +124,12 @@ def _batch(code, stripes, rng):
 
 def _encode_probe(data_bytes):
     """Paired encode timings; returns best seconds per engine."""
-    from repro.codec import StripeCodec, encode_schedule_for, kernel_name
+    from repro.codec import encode_schedule_for, kernel_name
     from repro.codes import make_code
 
     code = make_code("tip", N)
-    codec = StripeCodec(code, PACKET)
-    stripes = -(-data_bytes // codec.data_bytes_per_stripe)
+    schedule = encode_schedule_for(code)
+    stripes = -(-data_bytes // (code.num_data * PACKET))
     width = stripes * PACKET
     rng = np.random.default_rng(1)
     data = rng.integers(0, 256, size=(code.num_data, width), dtype=np.uint8)
@@ -109,7 +137,7 @@ def _encode_probe(data_bytes):
     batch = _batch(code, stripes, rng)
 
     passes = {
-        "interpreted": lambda: codec.encode_packets(packets),
+        "interpreted": lambda: schedule.apply(packets),
         "numpy": lambda: code.encode_plan.run_numpy(batch),
         "compiled": lambda: code.encode(batch),
     }
@@ -117,15 +145,13 @@ def _encode_probe(data_bytes):
     return {
         "kernel": kernel_name("compiled"),
         "payload_bytes": code.num_data * width,
-        "xors_per_element": codec.encode_xors / code.num_data,
+        "xors_per_element": schedule.xor_count / code.num_data,
         # Full-width row sweeps each engine performs per data row: the
         # compiled count converts payload GiB/s into achieved XOR-stream
         # GiB/s, and the pair states what run fusion saves.
         "passes_per_data_row": code.encode_plan.memory_passes
         / code.num_data,
-        "interpreted_passes_per_data_row": _interpreted_passes(
-            encode_schedule_for(code)
-        )
+        "interpreted_passes_per_data_row": _interpreted_passes(schedule)
         / code.num_data,
         "seconds": best,
         "roofline": _roofline(),
@@ -134,12 +160,11 @@ def _encode_probe(data_bytes):
 
 def _decode_probe(data_bytes):
     """Paired decode timings over sampled failure patterns."""
-    from repro.codec import StripeCodec, kernel_name
+    from repro.codec import kernel_name
     from repro.codes import make_code
 
     code = make_code("tip", N)
-    codec = StripeCodec(code, PACKET)
-    stripes = -(-data_bytes // codec.data_bytes_per_stripe)
+    stripes = -(-data_bytes // (code.num_data * PACKET))
     width = stripes * PACKET
     rng_np = np.random.default_rng(3)
     combos = random.Random(3).sample(

@@ -12,9 +12,9 @@ erased columns. This subpackage provides that machinery:
   product into an XOR schedule that reuses intermediate results to lower
   the XOR count.
 * :mod:`repro.bitmatrix.plan` — compiled execution: schedules lowered to
-  flat zero-allocation plans (in-place XORs, dead-code elimination,
-  liveness-based workspace reuse, cache-blocked tiling) for the
-  steady-state encode/decode/rebuild hot paths.
+  flat zero-allocation plans (fused multi-source XOR runs, dead-code
+  elimination, liveness-based workspace reuse) placed on a grid's cells,
+  for the steady-state encode/decode/rebuild hot paths.
 * :mod:`repro.bitmatrix.kernel` — the fused C kernel that runs a plan
   over every stripe of a grid or batch in one call, compiled at first
   import; the numpy executor is its fallback.
@@ -29,22 +29,16 @@ from repro.bitmatrix.ops import (
     bm_identity,
     bm_is_invertible,
 )
-from repro.bitmatrix.plan import CompiledPlan, compile_schedule, round_tile_bytes
+from repro.bitmatrix.plan import CompiledPlan
 from repro.bitmatrix.schedule import (
     XorSchedule,
     fuse_stages,
     naive_schedule,
     smart_schedule,
 )
-from repro.bitmatrix.tuning import HostProfile, host_profile, set_host_profile
 
 __all__ = [
     "CompiledPlan",
-    "compile_schedule",
-    "round_tile_bytes",
-    "HostProfile",
-    "host_profile",
-    "set_host_profile",
     "fuse_stages",
     "bm_mul",
     "bm_mat_vec",

@@ -101,22 +101,23 @@ class XorSchedule:
     def compile(
         self,
         needed_outputs: list[int] | tuple[int, ...] | None = None,
-        cells=None,
+        *,
+        cells,
     ):
         """Lower to a :class:`~repro.bitmatrix.plan.CompiledPlan`.
 
         The compiled plan executes the same XOR program with zero
-        per-step allocation (in-place ``out=`` ops into preallocated
-        buffers), cache-blocked tiling, and — when ``needed_outputs``
-        restricts the result — dead-code elimination plus workspace reuse
-        for the intermediate outputs that remain. Output bytes are
-        identical to :meth:`apply`. ``cells`` places the rows in a grid
-        for :meth:`CompiledPlan.run` (see :func:`~repro.bitmatrix.plan.
-        compile_schedule`).
+        per-step allocation and — when ``needed_outputs`` restricts the
+        result — dead-code elimination plus workspace reuse for the
+        intermediate outputs that remain. ``cells`` is ``(input cells,
+        output cells)``: the grid cell of every input and of every
+        schedule output (indexed by output index), where
+        :meth:`CompiledPlan.run` reads and writes them. Output bytes are
+        identical to :meth:`apply`.
         """
         from repro.bitmatrix.plan import CompiledPlan
 
-        return CompiledPlan(self, needed_outputs, cells)
+        return CompiledPlan(self, needed_outputs, cells=cells)
 
 
 def naive_schedule(matrix: np.ndarray) -> XorSchedule:

@@ -11,7 +11,6 @@ kernel call per encode or decode, on one core, as the paper does.
 """
 
 from repro.codec.engine import (
-    StripeCodec,
     ThroughputResult,
     encode_schedule_for,
     kernel_name,
@@ -20,7 +19,6 @@ from repro.codec.engine import (
 )
 
 __all__ = [
-    "StripeCodec",
     "ThroughputResult",
     "encode_schedule_for",
     "kernel_name",

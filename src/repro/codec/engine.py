@@ -15,9 +15,7 @@ The throughput measurers run one of three engines:
   one ``(num_elements, width)`` matrix, the reference executor (fresh
   packet per assign step).
 
-:meth:`StripeCodec.encode_into` / :meth:`StripeCodec.decode_into` run
-the compiled plan's tiled numpy executor on contiguous matrices. Every
-engine runs on one core, as the paper's word-wise C XOR loops do.
+Every engine runs on one core, as the paper's word-wise C XOR loops do.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro.bitmatrix import kernel
 from repro.codes.base import ArrayCode, encode_schedule_for
 
 __all__ = [
-    "StripeCodec",
     "ThroughputResult",
     "encode_schedule_for",
     "kernel_name",
@@ -50,210 +47,6 @@ ENGINES = ("compiled", "numpy", "interpreted")
 KERNEL_INTERPRETED = "XorSchedule.apply"
 KERNEL_NUMPY = "CompiledPlan.run_numpy"
 KERNEL_COMPILED = "xor_kernel.xor_plan"
-
-
-class StripeCodec:
-    """Packet codec for one code: precomputed schedules, bulk execution.
-
-    Args:
-        code: the array code.
-        packet_size: bytes per element packet (the paper uses 4 KB).
-        tile_bytes: cache-tile width for the compiled engine (``None`` =
-            auto-sized from the plan's row footprint).
-    """
-
-    def __init__(
-        self,
-        code: ArrayCode,
-        packet_size: int = 4096,
-        tile_bytes: int | None = None,
-    ) -> None:
-        if packet_size <= 0:
-            raise ValueError("packet_size must be positive")
-        if tile_bytes is not None and tile_bytes <= 0:
-            raise ValueError("tile_bytes must be positive")
-        self.code = code
-        self.packet_size = packet_size
-        self.tile_bytes = tile_bytes
-        self._encode_schedule = encode_schedule_for(code)
-        self._encode_plan = code.encode_plan
-
-    @property
-    def data_bytes_per_stripe(self) -> int:
-        """Payload bytes carried by one stripe."""
-        return self.code.num_data * self.packet_size
-
-    @property
-    def encode_xors(self) -> int:
-        """Packet XORs per stripe encode (after scheduling)."""
-        return self._encode_schedule.xor_count
-
-    @property
-    def encode_plan(self):
-        """The compiled encode plan (shared; treat as read-only)."""
-        return self._encode_plan
-
-    @staticmethod
-    def _check_packets(
-        packets: list[np.ndarray], expected: int, what: str
-    ) -> None:
-        """Validate packet count, dtype, contiguity and mutual shape.
-
-        The XOR schedules broadcast packets against each other and the
-        compiled engine executes ``out=`` ops on them, so a mismatched
-        width would surface as a cryptic numpy broadcast error and a
-        non-C-contiguous packet would defeat the contiguous inner loops
-        the plan's tiling assumes; fail here with a message naming the
-        offending packet instead.
-        """
-        if len(packets) != expected:
-            raise ValueError(
-                f"expected {expected} {what} packets, got {len(packets)}"
-            )
-        shape: tuple[int, ...] | None = None
-        for i, packet in enumerate(packets):
-            if not isinstance(packet, np.ndarray):
-                raise ValueError(
-                    f"{what} packet {i} must be a numpy uint8 array, got "
-                    f"{type(packet).__name__}"
-                )
-            if packet.dtype != np.uint8:
-                raise ValueError(
-                    f"{what} packet {i} must have dtype uint8, got "
-                    f"{packet.dtype}"
-                )
-            if not packet.flags.c_contiguous:
-                raise ValueError(
-                    f"{what} packet {i} is not C-contiguous; pass "
-                    f"np.ascontiguousarray(packet) — the compiled engine "
-                    f"runs in-place ops on contiguous buffers"
-                )
-            if shape is None:
-                shape = packet.shape
-            elif packet.shape != shape:
-                raise ValueError(
-                    f"{what} packet {i} has shape {packet.shape} but "
-                    f"packet 0 has shape {shape}; all packets must match"
-                )
-
-    def _check_matrix(
-        self, matrix: np.ndarray, rows: int, what: str
-    ) -> np.ndarray:
-        """Validate one contiguous ``(rows, width)`` uint8 matrix."""
-        if not isinstance(matrix, np.ndarray):
-            raise ValueError(f"{what} must be a numpy uint8 matrix")
-        if matrix.ndim != 2 or matrix.shape[0] != rows:
-            raise ValueError(
-                f"{what} must have shape ({rows}, width), got {matrix.shape}"
-            )
-        if matrix.dtype != np.uint8:
-            raise ValueError(f"{what} must have dtype uint8, got {matrix.dtype}")
-        if not matrix.flags.c_contiguous:
-            raise ValueError(
-                f"{what} is not C-contiguous; pass np.ascontiguousarray(...)"
-            )
-        return matrix
-
-    # ------------------------------------------------------------------
-    # interpreted (reference) packet API
-    # ------------------------------------------------------------------
-    def encode_packets(self, data: list[np.ndarray]) -> list[np.ndarray]:
-        """Compute all parity packets for logical data packets.
-
-        Interpreted reference path; the compiled equivalent is
-        :meth:`encode_into`.
-        """
-        self._check_packets(data, self.code.num_data, "data")
-        return self._encode_schedule.apply(data)
-
-    def decode_packets(
-        self, failed: tuple[int, ...], known: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Recover the packets of ``failed`` columns from survivors.
-
-        ``known`` must list the surviving elements' packets in the order
-        of ``Decoder.plan.known_positions``. Interpreted reference path;
-        the compiled equivalent is :meth:`decode_into`.
-        """
-        decoder = self.code.decoder_for(failed)
-        self._check_packets(
-            known, len(decoder.plan.known_positions), "survivor"
-        )
-        return decoder.plan.schedule.apply(known)
-
-    # ------------------------------------------------------------------
-    # compiled batch API
-    # ------------------------------------------------------------------
-    def encode_into(
-        self, data: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Encode a ``(num_data, width)`` matrix into parity rows.
-
-        Executes the compiled plan tile by tile — zero per-step
-        allocation, output bytes identical to :meth:`encode_packets`.
-
-        Args:
-            data: contiguous ``(num_data, width)`` uint8 matrix; row
-                order is the code's logical data order.
-            out: optional preallocated ``(num_parity, width)`` uint8
-                matrix (allocated when omitted).
-
-        Returns:
-            ``out``, parity rows in ``code.parity_positions`` order.
-        """
-        data = self._check_matrix(data, self.code.num_data, "data")
-        if out is None:
-            out = np.empty(
-                (self.code.num_parity, data.shape[1]), dtype=np.uint8
-            )
-        else:
-            out = self._check_matrix(out, self.code.num_parity, "out")
-            if out.shape[1] != data.shape[1]:
-                raise ValueError(
-                    f"out width {out.shape[1]} != data width {data.shape[1]}"
-                )
-        self._encode_plan.execute_into(data, out, tile_bytes=self.tile_bytes)
-        return out
-
-    def decode_into(
-        self,
-        failed: tuple[int, ...],
-        known: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Recover ``failed`` columns' elements from a survivor matrix.
-
-        Args:
-            failed: failed column indices.
-            known: contiguous ``(num_known, width)`` uint8 matrix, rows
-                in ``Decoder.plan.known_positions`` order.
-            out: optional ``(num_unknown, width)`` uint8 matrix, rows in
-                ``Decoder.plan.unknown_positions`` order.
-
-        Returns:
-            ``out`` with every erased element reconstructed.
-        """
-        decoder = self.code.decoder_for(failed)
-        known = self._check_matrix(
-            known, len(decoder.plan.known_positions), "survivor"
-        )
-        plan = decoder.compiled_plan()
-        if out is None:
-            out = np.empty(
-                (len(decoder.plan.unknown_positions), known.shape[1]),
-                dtype=np.uint8,
-            )
-        else:
-            out = self._check_matrix(
-                out, len(decoder.plan.unknown_positions), "out"
-            )
-            if out.shape[1] != known.shape[1]:
-                raise ValueError(
-                    f"out width {out.shape[1]} != survivor width "
-                    f"{known.shape[1]}"
-                )
-        plan.execute_into(known, out, tile_bytes=self.tile_bytes)
-        return out
 
 
 @dataclass
@@ -293,6 +86,14 @@ def kernel_name(engine: str) -> str:
     return KERNEL_NUMPY
 
 
+def _stripes(code: ArrayCode, data_bytes: int, packet_size: int) -> int:
+    """Whole stripes of ``packet_size``-byte packets that hold at least
+    ``data_bytes`` of data."""
+    if packet_size <= 0:
+        raise ValueError("packet_size must be positive")
+    return -(-data_bytes // (code.num_data * packet_size))
+
+
 def _random_batch(
     code: ArrayCode, stripes: int, packet_size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -319,15 +120,15 @@ def measure_encode_throughput(
     matrix. Plan compilation happens before the clock starts.
     """
     chosen = kernel_name(engine)
-    codec = StripeCodec(code, packet_size)
-    stripes = -(-data_bytes // codec.data_bytes_per_stripe)  # ceil division
+    stripes = _stripes(code, data_bytes, packet_size)
     width = stripes * packet_size
+    schedule = encode_schedule_for(code)
     rng = np.random.default_rng(seed)
     if chosen == KERNEL_INTERPRETED:
         data = rng.integers(0, 256, size=(code.num_data, width), dtype=np.uint8)
         packets = [data[i] for i in range(code.num_data)]
         start = time.perf_counter()
-        codec.encode_packets(packets)
+        schedule.apply(packets)
         elapsed = time.perf_counter() - start
     else:
         batch = _random_batch(code, stripes, packet_size, rng)
@@ -341,7 +142,7 @@ def measure_encode_throughput(
         name=code.name,
         total_bytes=code.num_data * width,
         seconds=elapsed,
-        xors_per_element=codec.encode_xors / code.num_data,
+        xors_per_element=schedule.xor_count / code.num_data,
     )
 
 
@@ -368,8 +169,7 @@ def measure_decode_throughput(
     ``Decoder.fused_xor_count`` for the executed count).
     """
     chosen = kernel_name(engine)
-    codec = StripeCodec(code, packet_size)
-    stripes = -(-data_bytes // codec.data_bytes_per_stripe)  # ceil division
+    stripes = _stripes(code, data_bytes, packet_size)
     width = stripes * packet_size
     rng_np = np.random.default_rng(seed)
     rng = random.Random(seed)

@@ -785,11 +785,6 @@ class Decoder:
         engine executes (before per-subset DCE)."""
         return self.plan.fused_schedule.xor_count
 
-    @property
-    def num_recovered(self) -> int:
-        """Elements reconstructed per stripe."""
-        return len(self.plan.unknown_positions)
-
     def compiled_plan(
         self, only_cols: tuple[int, ...] | None = None
     ) -> CompiledPlan:
@@ -831,12 +826,6 @@ class Decoder:
             lower,
             4 * self.code.decoder_cache_size,
         )
-
-    def recovered_positions(
-        self, only_cols: tuple[int, ...] | None = None
-    ) -> list[Position]:
-        """Positions :meth:`decode_columns` writes for this subset."""
-        return list(self.compiled_plan(only_cols).out_cells)
 
     def decode_columns(
         self,

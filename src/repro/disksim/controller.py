@@ -22,7 +22,6 @@ disks are dropped, as in a real array.
 from __future__ import annotations
 
 from repro.codes.base import ArrayCode
-from repro.raid.mapping import DiskAddress
 from repro.raid.planner import ElementIO, RequestPlan, RequestPlanner
 from repro.traces.model import TraceRequest
 
@@ -55,13 +54,6 @@ class RaidController:
         self.code = code
         self.chunk_bytes = chunk_bytes
         self.write_strategy = write_strategy
-
-    def element_lba(self, stripe: int, pos: tuple[int, int]) -> ElementIO:
-        """Locate element ``pos`` of ``stripe`` on its disk (read I/O)."""
-        address: DiskAddress = self.planner.mapping.element_address(stripe, pos)
-        return ElementIO(
-            disk=address.disk, lba_chunk=address.lba_chunk, is_write=False
-        )
 
     def plan(
         self, request: TraceRequest, failed: tuple[int, ...] = ()

@@ -60,7 +60,6 @@ class RepairJob:
     disk: int
     total_mib: float
     remaining_mib: float
-    started: float
     version: int = 0
     rate_mib_h: float = 0.0
     last_advance: float = field(default=0.0)
@@ -131,7 +130,7 @@ class RepairScheduler:
         self._advance(now)
         self.jobs[disk] = RepairJob(
             disk=disk, total_mib=total_mib, remaining_mib=total_mib,
-            started=now, last_advance=now,
+            last_advance=now,
         )
         return self._repace(now)
 
@@ -157,8 +156,3 @@ class RepairScheduler:
     def active(self) -> int:
         """Number of in-flight rebuilds."""
         return len(self.jobs)
-
-    def degraded_window_hours(self, now: float, disk: int) -> float:
-        """How long ``disk`` has been rebuilding so far."""
-        job = self.jobs[disk]
-        return now - job.started

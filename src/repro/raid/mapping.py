@@ -102,10 +102,6 @@ class ArrayMapping:
             raise ValueError(f"negative logical chunk {logical_chunk}")
         return divmod(logical_chunk, self.code.num_data)
 
-    def data_position(self, within: int) -> Position:
-        """Grid position of the ``within``-th data element of any stripe."""
-        return self.code.data_positions[within]
-
     def chunk_position(self, logical_chunk: int) -> tuple[int, Position]:
         """Map a logical chunk to ``(stripe, (row, col))``."""
         stripe, within = self.chunk_to_stripe(logical_chunk)

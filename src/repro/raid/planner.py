@@ -562,10 +562,6 @@ class RequestPlanner:
             counts=PlanCounts(counts[0], counts[1], counts[2], counts[3]),
         )
 
-    def _address(self, stripe: int, pos: Position) -> tuple[int, int]:
-        address = self.mapping.element_address(stripe, pos)
-        return (address.disk, address.lba_chunk)
-
     def _plan_cells(self, plan: RunPlan) -> tuple:
         """Stripe-relative ``(disk, row)`` cells of a plan.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codec import (
-    StripeCodec,
+    encode_schedule_for,
     measure_decode_throughput,
     measure_encode_throughput,
 )
@@ -16,83 +16,40 @@ def tip6():
     return make_code("tip", 6)
 
 
-class TestStripeCodec:
+class TestInterpretedSchedules:
+    """The reference schedules the interpreted engine runs."""
+
     def test_encode_matches_reference_encoder(self, tip6):
-        codec = StripeCodec(tip6, packet_size=32)
         rng = np.random.default_rng(0)
         data = [
             rng.integers(0, 256, size=32, dtype=np.uint8)
             for _ in range(tip6.num_data)
         ]
-        parities = codec.encode_packets(data)
+        parities = encode_schedule_for(tip6).apply(data)
         stripe = tip6.make_stripe(np.stack(data))
         for pos, packet in zip(tip6.parity_positions, parities):
             assert np.array_equal(stripe[pos[0], pos[1]], packet), pos
 
     def test_encode_wrong_packet_count(self, tip6):
-        codec = StripeCodec(tip6, packet_size=8)
-        with pytest.raises(ValueError):
-            codec.encode_packets([np.zeros(8, dtype=np.uint8)])
+        with pytest.raises(ValueError, match="input packets"):
+            encode_schedule_for(tip6).apply([np.zeros(8, dtype=np.uint8)])
 
     def test_decode_packets_recover_failed_columns(self, tip6):
-        codec = StripeCodec(tip6, packet_size=16)
         stripe = tip6.random_stripe(packet_size=16, seed=2)
-        failed = (0, 2, 4)
-        decoder = tip6.decoder_for(failed)
+        decoder = tip6.decoder_for((0, 2, 4))
         known = [stripe[r, c] for r, c in decoder.plan.known_positions]
-        recovered = codec.decode_packets(failed, known)
+        recovered = decoder.plan.schedule.apply(known)
         for pos, packet in zip(decoder.plan.unknown_positions, recovered):
             assert np.array_equal(stripe[pos[0], pos[1]], packet)
 
-    def test_scheduled_encode_xors_not_above_naive(self, tip6):
-        codec = StripeCodec(tip6)
-        naive = sum(len(m) - 1 for m in tip6.expanded_chains.values())
-        assert codec.encode_xors <= naive
-
-    def test_packet_size_validation(self, tip6):
-        with pytest.raises(ValueError):
-            StripeCodec(tip6, packet_size=0)
-
-    def test_encode_rejects_mismatched_packet_shapes(self, tip6):
-        codec = StripeCodec(tip6, packet_size=8)
-        packets = [np.zeros(8, dtype=np.uint8) for _ in range(tip6.num_data)]
-        packets[3] = np.zeros(9, dtype=np.uint8)
-        with pytest.raises(ValueError, match="packet 3 has shape"):
-            codec.encode_packets(packets)
-
-    def test_encode_rejects_wrong_dtype(self, tip6):
-        codec = StripeCodec(tip6, packet_size=8)
-        packets = [np.zeros(8, dtype=np.uint8) for _ in range(tip6.num_data)]
-        packets[0] = np.zeros(8, dtype=np.uint16)
-        with pytest.raises(ValueError, match="dtype uint8"):
-            codec.encode_packets(packets)
-
-    def test_encode_rejects_non_array(self, tip6):
-        codec = StripeCodec(tip6, packet_size=8)
-        packets = [np.zeros(8, dtype=np.uint8) for _ in range(tip6.num_data)]
-        packets[1] = list(range(8))
-        with pytest.raises(ValueError, match="packet 1 must be a numpy"):
-            codec.encode_packets(packets)
-
     def test_decode_rejects_wrong_survivor_count(self, tip6):
-        codec = StripeCodec(tip6, packet_size=8)
-        with pytest.raises(ValueError, match="survivor packets"):
-            codec.decode_packets((0, 1, 2), [np.zeros(8, dtype=np.uint8)])
+        schedule = tip6.decoder_for((0, 1, 2)).plan.schedule
+        with pytest.raises(ValueError, match="input packets"):
+            schedule.apply([np.zeros(8, dtype=np.uint8)])
 
-    def test_decode_rejects_mismatched_shapes(self, tip6):
-        codec = StripeCodec(tip6, packet_size=8)
-        decoder = tip6.decoder_for((0, 1, 2))
-        known = [
-            np.zeros(8, dtype=np.uint8)
-            for _ in decoder.plan.known_positions
-        ]
-        known[-1] = np.zeros(4, dtype=np.uint8)
-        with pytest.raises(ValueError, match="all packets must match"):
-            codec.decode_packets((0, 1, 2), known)
-
-    def test_data_bytes_per_stripe(self, tip6):
-        codec = StripeCodec(tip6, packet_size=4096)
-        assert codec.data_bytes_per_stripe == tip6.num_data * 4096
+    def test_scheduled_encode_xors_not_above_naive(self, tip6):
+        naive = sum(len(m) - 1 for m in tip6.expanded_chains.values())
+        assert encode_schedule_for(tip6).xor_count <= naive
 
 
 class TestThroughput:
@@ -108,6 +65,12 @@ class TestThroughput:
         )
         assert result.gib_per_second > 0
         assert result.xors_per_element > 0
+
+    def test_packet_size_validation(self, tip6):
+        for measure in (measure_encode_throughput, measure_decode_throughput):
+            for packet_size in (0, -1):
+                with pytest.raises(ValueError, match="packet_size"):
+                    measure(tip6, data_bytes=1 << 12, packet_size=packet_size)
 
     def test_throughput_math(self):
         from repro.codec.engine import ThroughputResult

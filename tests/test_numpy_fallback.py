@@ -26,12 +26,7 @@ from tests.test_stripe_transactions import (
     TestPartialTransfers,
     TestRecordIdentity,
 )
-from tests.test_triple_repair_path import (
-    TestNoProbeOnRequestPath,
-    TestRebuildWriteBack,
-    refuse_probe,
-    test_word_views_any_tile_match_interpreted,
-)
+from tests.test_triple_repair_path import TestRebuildWriteBack
 from tests.test_wide_write import (
     TestCachedBypass,
     TestOracleEquivalence,
@@ -51,7 +46,6 @@ __all__ = [
     "TestHealthyArray",
     "TestInProcessRollForward",
     "TestJournalBytes",
-    "TestNoProbeOnRequestPath",
     "TestOracleEquivalence",
     "TestPartialTransfers",
     "TestPropertyStyle",
@@ -60,8 +54,6 @@ __all__ = [
     "TestRecordIdentity",
     "TestRestripeInFlight",
     "TestVolumeCrashSweep",
-    "refuse_probe",
-    "test_word_views_any_tile_match_interpreted",
 ]
 
 

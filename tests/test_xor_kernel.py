@@ -3,16 +3,20 @@
 * kernel ≡ ``CompiledPlan.run_numpy`` ≡ ``XorSchedule.apply`` for the
   encode plan and every failure set up to ``faults`` of every registered
   family, on 3-D grids and 4-D disk-order batches, at widths that are
-  not multiples of 8 or 64, for 1, 5 and ``WIDE_WRITE_STRIPES`` stripes;
+  not multiples of 8 or 64 and at widths past one kernel tile (the last
+  tile ragged), for 1, 5 and ``WIDE_WRITE_STRIPES`` stripes;
 * two threads can run one cached plan at once;
 * EMPTY cells and failed columns of a loaded batch come back zero;
 * a store's disks are byte-identical, and its counters equal, whether
   its encodes and decodes ran in the kernel or in numpy;
-* the kernel loads wherever a C compiler is on PATH.
+* the kernel loads wherever a C compiler is on PATH, and without a
+  compiler, or when the compile fails, there is no kernel and no
+  partial library is left behind.
 """
 
 import itertools
 import shutil
+import subprocess
 import sys
 import threading
 
@@ -67,7 +71,7 @@ def check_plan(plan, schedule, grid, schedule_cells):
     """Run ``plan`` by kernel and by numpy on copies of ``grid``; both
     must equal ``schedule`` interpreted (its outputs landing on
     ``schedule_cells``) on every output cell and leave every other cell
-    untouched."""
+    untouched. Returns the grid the kernel ran on."""
     by_kernel, by_numpy = grid.copy(), grid.copy()
     plan.run(by_kernel)
     plan.run_numpy(by_numpy)
@@ -80,6 +84,7 @@ def check_plan(plan, schedule, grid, schedule_cells):
     for cell in plan.out_cells:
         untouched[cell] = view[cell]
     assert np.array_equal(untouched, view)
+    return by_kernel
 
 
 def encode_case(code, grid):
@@ -97,14 +102,23 @@ def decode_case(code, failed, grid):
     )
 
 
+#: Widths past one kernel tile, so a stripe runs in several column
+#: tiles (reusing the kernel's workspace) and the last one is ragged.
+WIDE_WIDTHS = (kernel.TILE_BYTES + 1, 2 * kernel.TILE_BYTES + 7)
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("family", sorted(CODE_FAMILIES))
     def test_encode_and_every_failure_set(self, family):
         code = CODES[family]
-        grid = random_grid(code, "batch", 13, 5, seed=len(family))
-        encode_case(code, grid)
-        for failed in failure_sets(code):
-            decode_case(code, failed, grid)
+        for grid in (
+            random_grid(code, "batch", 13, 5, seed=len(family)),
+            random_grid(code, "grid", WIDE_WIDTHS[1], 1, seed=1),
+            random_grid(code, "batch", WIDE_WIDTHS[0], 3, seed=2),
+        ):
+            encode_case(code, grid)
+            for failed in failure_sets(code):
+                decode_case(code, failed, grid)
 
     def test_decode_plans_carry_workspace_rows(self):
         assert all(
@@ -117,7 +131,7 @@ class TestOracleEquivalence:
     @given(
         family=st.sampled_from(sorted(CODE_FAMILIES)),
         layout=st.sampled_from(("grid", "batch")),
-        width=st.integers(1, 200),
+        width=st.integers(1, 200) | st.sampled_from(WIDE_WIDTHS),
         count=st.sampled_from((1, 5, WIDE_WRITE_STRIPES)),
         pick=st.integers(0, 1 << 16),
         seed=st.integers(0, 1 << 16),
@@ -151,11 +165,6 @@ class TestOracleEquivalence:
         code.encode(strided)
         code.encode(grid)
         assert np.array_equal(strided, grid)
-
-    def test_plan_without_cells_refuses_grids(self):
-        plan = encode_schedule_for(CODES["tip"]).compile()
-        with pytest.raises(ValueError, match="cells"):
-            plan.run(random_grid(CODES["tip"], "grid", 8, 1, seed=0))
 
 
 @needs_kernel
@@ -284,3 +293,32 @@ def test_kernel_loads_where_a_compiler_is_on_path():
         pytest.skip("no C compiler on PATH")
     assert kernel.XOR_PLAN is not None
     assert kernel.build() is not None
+
+
+def test_no_compiler_means_no_kernel(monkeypatch):
+    monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
+    assert kernel.build() is None
+    assert kernel.load() is None
+
+
+def test_failed_compile_means_no_kernel_and_no_partial_file(
+    tmp_path, monkeypatch
+):
+    """A failing compile (of a copy of the source, so the package's own
+    build cache is untouched) gives no kernel and leaves no
+    ``*.so.tmp`` behind."""
+    source = tmp_path / kernel.SOURCE.name
+    source.write_bytes(kernel.SOURCE.read_bytes())
+    monkeypatch.setattr(kernel, "SOURCE", source)
+    monkeypatch.setattr(kernel, "_compiler", lambda: sys.executable)
+    calls = []
+
+    def failing_compile(command, **kwargs):
+        calls.append(command)
+        raise subprocess.CalledProcessError(1, command)
+
+    monkeypatch.setattr(kernel.subprocess, "run", failing_compile)
+    assert kernel.build() is None
+    assert kernel.load() is None
+    assert len(calls) == 2
+    assert list((tmp_path / "__pycache__").iterdir()) == []
