@@ -18,7 +18,9 @@ Two experiments for the fault subsystem (``repro.faults``):
 Results land in ``results/bench_scrub.txt`` and ``BENCH_scrub.json``
 (scrub stripes/s + MB/s, and per-throttle replay time / chunk I/O).
 Run ``python benchmarks/bench_scrub.py --smoke`` for the tiny CI
-configuration (same assertions, reduced sizes).
+configuration (same assertions, reduced sizes). Any size override
+leaves those records alone: the run prints its tables and, when
+``REPRO_BENCH_JSON`` names a file, writes its numbers there.
 """
 
 import json
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _common import emit, format_table
+from _common import BENCH_JSON_ENV, emit, format_table
 from repro.codes import make_code
 from repro.faults import FaultPlan, RepairController, Scrubber
 from repro.raid import BlockDevice
@@ -38,6 +40,11 @@ from repro.store import ArrayStore
 from repro.traces import generate_trace
 
 N = 8
+SIZE_ENVS = (
+    "REPRO_BENCH_SCRUB_CHUNK",
+    "REPRO_BENCH_SCRUB_STRIPES",
+    "REPRO_BENCH_SCRUB_REQUESTS",
+)
 CHUNK = int(os.environ.get("REPRO_BENCH_SCRUB_CHUNK", "4096"))
 STRIPES = int(os.environ.get("REPRO_BENCH_SCRUB_STRIPES", "64"))
 REQUESTS = int(os.environ.get("REPRO_BENCH_SCRUB_REQUESTS", "400"))
@@ -47,16 +54,34 @@ ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = ROOT / "BENCH_scrub.json"
 
 
-def _merge_json(key, value):
-    payload = {}
-    if JSON_PATH.exists():
-        payload = json.loads(JSON_PATH.read_text())
-    payload.setdefault(
-        "config",
-        {"code": "tip", "n": N, "stripes": STRIPES, "chunk_bytes": CHUNK},
-    )
+def full_size() -> bool:
+    """True unless a size override is set: only a full-size run may
+    rewrite the committed records."""
+    return not any(os.environ.get(name) for name in SIZE_ENVS)
+
+
+def _record(name, lines, key, value):
+    """Print one experiment's table and keep its numbers under ``key``.
+
+    At full size that rewrites ``results/<name>.txt`` and the entry in
+    ``BENCH_scrub.json``; a reduced run only prints, and writes the
+    entry to the ``REPRO_BENCH_JSON`` file if one is named.
+    """
+    if full_size():
+        emit(name, lines)
+        path = JSON_PATH
+    else:
+        print("\n".join([f"=== {name} (reduced size) ===", *lines]))
+        path = os.environ.get(BENCH_JSON_ENV)
+        if not path:
+            return
+        path = Path(path)
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload["config"] = {
+        "code": "tip", "n": N, "stripes": STRIPES, "chunk_bytes": CHUNK,
+    }
     payload[key] = value
-    JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _populate(store):
@@ -122,7 +147,7 @@ def test_scrub_throughput():
                     assert report.errors_fixed == report.errors_found
             # Repairs restored the stripes, not just silenced errors.
             assert store.scrub() == []
-    emit(
+    _record(
         "bench_scrub",
         [
             f"code=tip n={N} stripes={STRIPES} chunk={CHUNK}",
@@ -132,8 +157,9 @@ def test_scrub_throughput():
                 rows,
             ),
         ],
+        "scrub",
+        result,
     )
-    _merge_json("scrub", result)
 
 
 def _faulty_replay(trace, throttle):
@@ -203,7 +229,7 @@ def test_degraded_replay_throttle_impact():
     # measured reads (reconstruction fan-in) can never drop below the
     # loosest setting's.
     assert reads_by_throttle[0] >= reads_by_throttle[-1], reads_by_throttle
-    emit(
+    _record(
         "bench_scrub_throttle",
         [
             f"code=tip n={N} stripes={STRIPES} chunk={CHUNK} "
@@ -214,8 +240,9 @@ def test_degraded_replay_throttle_impact():
                 rows,
             ),
         ],
+        "degraded_replay",
+        sweep,
     )
-    _merge_json("degraded_replay", sweep)
 
 
 def main(argv):

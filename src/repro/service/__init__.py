@@ -22,8 +22,9 @@ assumption:
   and counter for counter);
 * :mod:`repro.service.volume` — :class:`VolumeService`, the same
   front-end over a multi-array :class:`~repro.volume.VolumeManager`:
-  per-shard admission semaphores plus a background driver for online
-  restriping under load.
+  flat combining (one FIFO queue, one request in the volume at a time,
+  run back to back by whichever caller holds the combiner role) plus a
+  background thread that restripes the volume online, under load.
 """
 
 from repro.service.loadgen import (

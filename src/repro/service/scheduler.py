@@ -141,8 +141,8 @@ class _Request:
     """
 
     __slots__ = (
-        "is_write", "offset", "length", "payload", "started", "result",
-        "error", "future",
+        "is_write", "offset", "length", "payload", "stripes", "started",
+        "result", "error", "future",
     )
 
     def __init__(
@@ -151,12 +151,15 @@ class _Request:
         offset: int,
         length: int,
         payload: np.ndarray | None,
+        stripes: range,
         started: float,
     ) -> None:
         self.is_write = is_write
         self.offset = offset
         self.length = length
         self.payload = payload
+        #: The stripes the byte range touches, computed once at admission.
+        self.stripes = stripes
         self.started = started
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
@@ -413,7 +416,13 @@ class BlockService:
         which is the backpressure that lets batches assemble without
         unbounded buffering.
         """
-        request = _Request(is_write, offset, length, payload, time.perf_counter())
+        per_stripe = self._per_stripe_bytes
+        stripes = range(
+            offset // per_stripe, (offset + length - 1) // per_stripe + 1
+        )
+        request = _Request(
+            is_write, offset, length, payload, stripes, time.perf_counter()
+        )
         self._admission.acquire()
         if self.batch_size > 1:
             request.future = Future()
@@ -449,7 +458,7 @@ class BlockService:
             return
         stripes: set[int] = set()
         for request in batch:
-            stripes.update(self._stripes(request))
+            stripes.update(request.stripes)
         ops = [
             (
                 request.is_write,
@@ -468,20 +477,10 @@ class BlockService:
         for request, result in zip(batch, results):
             request.result = result
 
-    def _stripes(self, request: _Request) -> range:
-        """The stripes ``request``'s byte range touches."""
-        per_stripe = self._per_stripe_bytes
-        return range(
-            request.offset // per_stripe,
-            (request.offset + request.length - 1) // per_stripe + 1,
-        )
-
     def _attempt(self, request: _Request) -> np.ndarray | None:
         """One execution of ``request`` under the shared array lock and
         its stripes' locks."""
-        with self._array.shared(), self._stripe_locks.locked(
-            self._stripes(request)
-        ):
+        with self._array.shared(), self._stripe_locks.locked(request.stripes):
             try:
                 if request.is_write:
                     self.store.write_bytes(request.offset, request.payload)
@@ -670,7 +669,7 @@ class BlockService:
         blocked: set[int] = set()
         budget = self._stripe_budget
         for index, request in enumerate(pending):
-            stripes = self._stripes(request)
+            stripes = request.stripes
             if blocked and any(s in blocked for s in stripes):
                 blocked.update(stripes)
                 continue

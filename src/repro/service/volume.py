@@ -4,25 +4,42 @@
 :class:`~repro.service.BlockService` is to one
 :class:`~repro.store.ArrayStore` — the admission and threading layer.
 The volume already owns correctness (extent routing, journal ordering,
-the volume → shard → stripe lock ladder); the service adds *fairness*:
+the volume → shard → stripe lock ladder, which its direct callers still
+rely on); the service decides *who runs when*:
 
-* **per-shard admission.** One global semaphore would let a burst
-  aimed at one hot shard starve every other shard's queue. Instead each
-  shard gets its own inflight bound; a request takes one permit per
-  distinct shard it touches, in ascending shard order (the same
-  total-order trick the stripe locks use, so two requests can never
-  hold-and-wait in a cycle). Disjoint-shard traffic never queues behind
-  a hot shard. Admission is keyed by the *source-layout* shard — during
-  a migration the copies land wherever the cursor says, but the
-  throttle's job is bounding concurrency, not routing, and the source
-  layout is the one foreground traffic is shaped by.
+* **flat combining.** Every request — a read, a write, a restripe tick —
+  joins one FIFO queue. A caller that finds no *combiner* (the thread
+  currently running queued requests) becomes it and runs the queue in
+  arrival order on its own thread; every other caller sleeps until its
+  request has run. At most one request executes in the volume, and
+  the combiner runs queued requests back to back, waking each caller
+  once its request is done, so no wake-up sits between two requests
+  (Hendler, Incze, Shavit and Tzafrir, "Flat Combining and the
+  Synchronization-Parallelism Tradeoff", SPAA 2010). Rounds are
+  bounded: once its own request is done, a combiner runs at most the
+  requests already waiting, then hands the role to the oldest waiter,
+  so with N callers it runs at most N − 1 other requests before it
+  returns.
+* **errors stay with their caller.** A request's ``Exception`` is raised
+  in its own caller only, and the combiner keeps serving. Any other
+  ``BaseException`` (``KeyboardInterrupt``, ``SystemExit``) means the
+  combiner's thread is going down: the request it interrupted fails
+  with it, it propagates on the combiner's thread, and the role passes
+  to the oldest waiter, so no waiter is left stranded.
 * **a background migration driver.** :meth:`start_restripe` runs a
-  :class:`~repro.volume.Restriper` on its own thread while request
-  threads keep flowing — the configuration every restripe latency
-  benchmark measures.
+  :class:`~repro.volume.Restriper` on its own thread, which submits
+  every tick and the final layout swap through the same queue while
+  request threads keep flowing. A tick runs alone in the volume, so
+  :attr:`RestripeStats.io <repro.volume.RestripeStats.io>` counts the
+  migration's own I/O only, and a foreground request waits for at most
+  the tick ahead of it: ``extents_per_tick`` bounds that stall.
 
-Stats reuse :class:`~repro.service.ServiceStats` (admission-to-
-completion latency per request, p50/p99 via the shared nearest-rank
+With one request at a time every journal commit is quiescent, and the
+shared :class:`~repro.store.IntentJournal` checkpoints at its
+group-commit boundaries.
+
+Stats reuse :class:`~repro.service.ServiceStats` (queue-to-completion
+latency per request, p50/p99 via the shared nearest-rank
 :func:`~repro.service.percentile`).
 """
 
@@ -30,8 +47,10 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -43,38 +62,60 @@ from repro.volume.restripe import Restriper, RestripeStats
 __all__ = ["VolumeService"]
 
 
-class VolumeService:
-    """Thread-pool request front-end over an elastic volume.
+class _Request:
+    """One queued call and, once it has run, its outcome.
 
-    Args:
-        volume: the (thread-safe) :class:`~repro.volume.VolumeManager`
-            to serve. Closing the service closes the volume.
-        workers: threads in the request pool behind :meth:`submit_read`
-            / :meth:`submit_write`; synchronous :meth:`read` /
-            :meth:`write` run on the caller's thread under the same
-            admission.
-        per_shard_inflight: concurrent requests admitted per shard
-            (each request holds one permit for every shard it spans).
+    ``gate`` is created held; releasing it wakes the caller, which then
+    finds the outcome here, or ``leads`` set when it is to run the queue
+    as the combiner.
     """
 
-    def __init__(
-        self,
-        volume: VolumeManager,
-        *,
-        workers: int = 4,
-        per_shard_inflight: int = 4,
-    ) -> None:
+    __slots__ = ("call", "gate", "leads", "result", "error")
+
+    def __init__(self, call: Callable[[], Any]) -> None:
+        self.call = call
+        self.gate = threading.Lock()
+        self.gate.acquire()
+        self.leads = False
+        self.result: Any = None
+        self.error: BaseException | None = None
+
+    def run(self) -> None:
+        """Run the call and keep its outcome. An ``Exception`` stays
+        with the request; any other ``BaseException`` propagates too,
+        because the thread running the request is going down."""
+        try:
+            self.result = self.call()
+        except BaseException as exc:  # noqa: BLE001 - the caller's
+            self.error = exc
+            if not isinstance(exc, Exception):
+                raise
+
+
+class VolumeService:
+    """Flat-combining request front-end over an elastic volume.
+
+    Args:
+        volume: the :class:`~repro.volume.VolumeManager` to serve.
+            Closing the service closes the volume.
+        workers: threads in the request pool behind :meth:`submit_read`
+            / :meth:`submit_write`. Synchronous :meth:`read` /
+            :meth:`write` queue from the caller's thread, and run there
+            or on whichever caller is combining.
+    """
+
+    def __init__(self, volume: VolumeManager, *, workers: int = 4) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if per_shard_inflight < 1:
-            raise ValueError("per_shard_inflight must be >= 1")
         self.volume = volume
         self.workers = workers
-        self.per_shard_inflight = per_shard_inflight
         self.stats = ServiceStats()
         self._stats_lock = threading.Lock()
-        self._admission_lock = threading.Lock()
-        self._admission: dict[int, threading.BoundedSemaphore] = {}
+        #: Guards ``_combining`` and the hand-off; requests are appended
+        #: under it and only the combiner takes them off the queue.
+        self._queue_lock = threading.Lock()
+        self._waiting: deque[_Request] = deque()
+        self._combining = False
         self._pool: ThreadPoolExecutor | None = None
         self._restriper: Restriper | None = None
         self._restripe_thread: threading.Thread | None = None
@@ -98,7 +139,11 @@ class VolumeService:
         return self._pool
 
     def close(self) -> None:
-        """Drain requests and any migration, then close the volume."""
+        """Drain requests and any migration, then close the volume.
+
+        The volume's close is queued behind every request already
+        waiting, so those run first.
+        """
         if self._closed:
             return
         self._closed = True
@@ -106,7 +151,7 @@ class VolumeService:
             self._pool.shutdown(wait=True)
             self._pool = None
         self.join_restripe()
-        self.volume.close()
+        self._execute(self.volume.close)
 
     def __enter__(self) -> "VolumeService":
         return self
@@ -115,37 +160,60 @@ class VolumeService:
         self.close()
 
     # ------------------------------------------------------------------
-    # admission
+    # flat combining
     # ------------------------------------------------------------------
-    def _permit(self, shard: int) -> threading.BoundedSemaphore:
-        with self._admission_lock:
-            gate = self._admission.get(shard)
-            if gate is None:
-                gate = threading.BoundedSemaphore(self.per_shard_inflight)
-                self._admission[shard] = gate
-            return gate
+    def _permit(self, request: _Request) -> threading.Lock:
+        """Queue ``request``; returns the gate its caller acquires to
+        wait for its turn.
 
-    def _admitted(self, is_write: bool, offset: int, length: int, payload):
-        """One request: per-shard admission, timed volume I/O, stats."""
-        shards = sorted(
-            {
-                run.shard
-                for run in self.volume.mapping.byte_runs(offset, length)
-            }
-        )
-        gates = [self._permit(shard) for shard in shards]
-        started = time.perf_counter()
-        for gate in gates:
-            gate.acquire()
-        try:
-            if is_write:
-                result = None
-                self.volume.write_bytes(offset, payload)
+        The gate opens once the request has run, or with
+        ``request.leads`` set when the caller is to combine: at once if
+        no combiner is active, else when the last one hands over.
+        """
+        with self._queue_lock:
+            if self._combining:
+                self._waiting.append(request)
             else:
-                result = self.volume.read_bytes(offset, length)
+                self._combining = request.leads = True
+                request.gate.release()
+        return request.gate
+
+    def _execute(self, call: Callable[[], Any]) -> Any:
+        """Run ``call`` as one queued request; returns its result or
+        raises what it raised."""
+        request = _Request(call)
+        self._permit(request).acquire()
+        if request.leads:
+            self._combine(request)
+        if request.error is not None:
+            raise request.error
+        return request.result
+
+    def _combine(self, own: _Request) -> None:
+        """Run ``own``, then the requests waiting once it is done, in
+        arrival order; then hand the combiner role to the oldest waiter
+        left, or stand down."""
+        try:
+            own.run()
+            for _ in range(len(self._waiting)):
+                request = self._waiting.popleft()
+                try:
+                    request.run()
+                finally:
+                    request.gate.release()
         finally:
-            for gate in reversed(gates):
-                gate.release()
+            with self._queue_lock:
+                if self._waiting:
+                    heir = self._waiting.popleft()
+                    heir.leads = True
+                    heir.gate.release()
+                else:
+                    self._combining = False
+
+    def _timed(self, is_write: bool, length: int, call: Callable[[], Any]):
+        """One foreground request: queued, run, and recorded in stats."""
+        started = time.perf_counter()
+        result = self._execute(call)
         elapsed_ms = (time.perf_counter() - started) * 1e3
         with self._stats_lock:
             self.stats.record(is_write, length, elapsed_ms)
@@ -156,12 +224,13 @@ class VolumeService:
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at volume ``offset``."""
-        return self._admitted(False, offset, length, None).tobytes()
+        call = partial(self.volume.read_bytes, offset, length)
+        return self._timed(False, length, call).tobytes()
 
     def write(self, offset: int, data: bytes | bytearray | np.ndarray) -> None:
         """Write ``data`` at volume ``offset``."""
         buf = as_bytes_array(data)
-        self._admitted(True, offset, buf.size, buf)
+        self._timed(True, buf.size, partial(self.volume.write_bytes, offset, buf))
 
     def submit_read(self, offset: int, length: int) -> "Future[bytes]":
         """Queue a read on the service pool; returns its future."""
@@ -183,7 +252,8 @@ class VolumeService:
         tick_delay: float = 0.0,
     ) -> Restriper:
         """Start (or resume, with ``target=None``) a migration on a
-        background thread; foreground requests keep flowing."""
+        background thread; foreground requests keep flowing. Each tick,
+        and the final swap, runs as one queued request."""
         if self._restripe_thread is not None:
             raise RuntimeError("a restripe driver is already running")
         restriper = Restriper(
@@ -197,7 +267,11 @@ class VolumeService:
 
         def _drive() -> None:
             try:
-                restriper.run()
+                while not restriper.done:
+                    self._execute(restriper.tick)
+                    if tick_delay and not restriper.done:
+                        time.sleep(tick_delay)
+                self._execute(restriper.finish)
             except BaseException as exc:  # noqa: BLE001 - rethrown in join
                 self._restripe_error = exc
 

@@ -263,6 +263,12 @@ class ArrayStore:
         #: Grid rows and columns of the data cells in logical order: the
         #: fancy index that lays whole stripes of payload into a batch.
         self._data_rows, self._data_cols = np.array(code.data_positions).T
+        #: The same for the EMPTY cells, which a new batch must zero.
+        self._empty_rows, self._empty_cols = np.array(
+            [pos for pos in np.ndindex(code.rows, code.cols)
+             if pos not in self._roles],
+            dtype=np.intp,
+        ).reshape(-1, 2).T
         for disk in range(code.cols):
             path = self._disk_path(disk)
             if path.exists():
@@ -1012,13 +1018,20 @@ class ArrayStore:
 
     def _encode_stripes(self, data: np.ndarray) -> np.ndarray:
         """Lay the logical data of whole stripes into one disk-order
-        batch (see :meth:`_load_stripe_batch`) and encode it."""
+        batch (see :meth:`_load_stripe_batch`) and encode it.
+
+        The batch is allocated uninitialised: the data cells are copied
+        in, the encode writes every parity cell, and only the EMPTY
+        cells are zeroed.
+        """
         code, chunk = self.code, self.chunk_bytes
         count = data.size // (code.num_data * chunk)
-        batch = np.zeros((code.cols, count, code.rows, chunk), dtype=np.uint8)
+        batch = np.empty((code.cols, count, code.rows, chunk), dtype=np.uint8)
         batch[self._data_cols, :, self._data_rows] = data.reshape(
             count, code.num_data, chunk
         ).transpose(1, 0, 2)
+        if self._empty_rows.size:
+            batch[self._empty_cols, :, self._empty_rows] = 0
         code.encode(batch)
         return batch
 

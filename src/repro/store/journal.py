@@ -19,11 +19,12 @@ Two implementations share the :class:`WriteJournal` protocol:
   records with CRC32-guarded headers and payloads are appended and
   fsynced *before* the first data write (journal-before-data ordering),
   commit markers are appended after the operation completes and fsynced
-  lazily in groups (group commit), and :meth:`IntentJournal.recover`
-  replays any transaction whose commit marker is missing when the file
-  is reopened. Because replay is idempotent, a lost commit marker costs
-  a redundant replay, never correctness — which is exactly what makes
-  group commit safe.
+  lazily in groups (group commit), a group's fsync becomes a truncation
+  of the whole file when no transaction is open (the checkpoint), and
+  :meth:`IntentJournal.recover` replays any transaction whose commit
+  marker is missing when the file is reopened. Because replay is
+  idempotent, a lost commit marker costs a redundant replay, never
+  correctness — which is exactly what makes group commit safe.
 
 Intents come in two kinds (see :class:`JournalRecord`): a *span record*
 holds the absolute bytes of one disk span, and a *data record* holds
@@ -235,10 +236,13 @@ class IntentJournal:
         group_commit: fsync the file once per this many commit markers
             instead of per commit. Lost markers are harmless (replay is
             idempotent), so the group size only bounds redundant replay
-            work after a crash, not correctness.
+            work after a crash, not correctness. The checkpoint (a
+            truncation of the file) runs at these boundaries too: on the
+            commit whose fsync falls due, if no transaction is open, in
+            place of that fsync.
         checkpoint_records: compact the file once this many records have
             been appended since the last truncation/compaction, *even
-            while transactions are open*. The quiescent checkpoint in
+            while transactions are open*. The checkpoint in
             :meth:`commit` only fires when no transaction is in flight —
             under sustained concurrent load that moment never comes and
             the file grows without bound. Compaction atomically rewrites
@@ -446,7 +450,12 @@ class IntentJournal:
             self._maybe_compact_locked()
 
     def commit(self, shard: int) -> None:
-        """Append the commit marker; fsync once per ``group_commit``."""
+        """Append the commit marker; fsync once per ``group_commit``.
+
+        When that fsync falls due with no transaction open, truncate the
+        file instead (the checkpoint): the truncation retires every
+        record, this transaction's included, for the same one fsync.
+        """
         records = self._open_records(shard)
         records.clear()
         key = (threading.get_ident(), shard)
@@ -455,17 +464,18 @@ class IntentJournal:
             if txn is None:
                 return  # nothing sealed (journal-off path): no-op
             self._open_txns.pop(txn, None)
+            self._unsynced_commits += 1
+            due = self._unsynced_commits >= self.group_commit
+            if due and not self._open_txns and not self._recoverable:
+                self._checkpoint_locked()
+                return
             marker = JournalRecord(shard=shard, disk=0, offset=0, payload=b"")
             self._append(list(self._encode(txn, marker, commit=True)))
-            self._unsynced_commits += 1
-            if self._unsynced_commits >= self.group_commit:
+            self._records_since_checkpoint += 1
+            if due:
                 self._sync()
                 self._unsynced_commits = 0
-            self._records_since_checkpoint += 1
-            if not self._open_txns and not self._recoverable:
-                self._checkpoint_locked()
-            else:
-                self._maybe_compact_locked()
+            self._maybe_compact_locked()
 
     def pending(self, shard: int) -> list[JournalRecord]:
         """Snapshot the calling thread's not-yet-committed intents."""
@@ -642,11 +652,11 @@ class IntentJournal:
         with self._lock:
             if self._file.closed:
                 return
-            if self._unsynced_commits:
-                self._sync()
-                self._unsynced_commits = 0
             if not self._open_txns and not self._recoverable:
                 self._checkpoint_locked()
+            elif self._unsynced_commits:
+                self._sync()
+                self._unsynced_commits = 0
             self._file.close()
 
     def __enter__(self) -> "IntentJournal":

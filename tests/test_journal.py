@@ -188,14 +188,51 @@ class TestIntentJournalFormat:
             assert reopened.recover(lambda rec: None) == 0
 
     def test_checkpoint_truncates_when_idle(self, tmp_path):
+        """The idle checkpoint runs on the commit whose group fsync falls
+        due, in place of that fsync, and only when no transaction is
+        open."""
         path = tmp_path / "j"
-        with IntentJournal(path, group_commit=100) as journal:
+        syncs = []
+
+        class Counting(IntentJournal):
+            def _sync(self):
+                syncs.append(1)
+                super()._sync()
+
+        with Counting(path, group_commit=3) as journal:
             journal.log(_record())
             journal.seal(0)
             assert path.stat().st_size > 0
             assert not journal.checkpoint()  # open txn: refused
             journal.commit(0)
-            # Idle commit auto-checkpoints; the file must be empty.
+            journal.log(_record())
+            journal.seal(0)
+            journal.commit(0)
+            # Two idle commits inside one group: no truncation yet, and
+            # no fsync beyond the two seals'.
+            assert len(syncs) == 2
+            assert [kind for kind, _, _ in journal.iter_records()] == [1, 2] * 2
+            # A transaction open at the boundary: the group fsyncs
+            # without truncating.
+            journal.log(_record(shard=1))
+            journal.seal(1)
+            journal.log(_record())
+            journal.seal(0)
+            journal.commit(0)
+            assert len(syncs) == 5
+            assert path.stat().st_size > 0
+            journal.commit(1)
+            journal.log(_record())
+            journal.seal(0)
+            journal.commit(0)
+            assert len(syncs) == 6
+            assert path.stat().st_size > 0
+            # Third commit of the new group, idle: the checkpoint's one
+            # fsync stands in for the group's, and the file is empty.
+            journal.log(_record())
+            journal.seal(0)
+            journal.commit(0)
+            assert len(syncs) == 8
             assert path.stat().st_size == 0
 
     def test_meter_survives_the_roundtrip(self, tmp_path):

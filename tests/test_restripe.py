@@ -147,6 +147,31 @@ class TestRestripeMechanics:
         assert np.array_equal(vol.read_bytes(0, vol.volume_bytes), data)
         vol.close()
 
+    def test_migration_io_is_the_same_under_foreground_load(self, tmp_path):
+        """Through the service each tick runs alone in the volume, so
+        ``RestripeStats.io`` counts the migration's copies only."""
+        quiet, _ = _fresh_volume(tmp_path, "quiet")
+        with VolumeService(quiet) as service:
+            service.start_restripe(FAMILY_TARGET, extents_per_tick=1)
+            alone = service.join_restripe().io
+
+        busy, _ = _fresh_volume(tmp_path, "busy")
+        plan = _workload(busy.volume_bytes, ops=30)
+        with VolumeService(busy, workers=len(plan)) as service:
+            service.start_restripe(
+                FAMILY_TARGET, extents_per_tick=1, tick_delay=0.001
+            )
+            futures = [
+                service.submit_write(offset, payload)
+                for ops in plan
+                for offset, payload in ops
+            ]
+            for future in futures:
+                future.result()
+            loaded = service.join_restripe().io
+        assert alone.total_chunks > 0
+        assert loaded == alone
+
     def test_finish_requires_complete_copy(self, tmp_path):
         vol, _ = _fresh_volume(tmp_path, "incomplete")
         restriper = Restriper(vol, GEOMETRY_TARGET, extents_per_tick=1)

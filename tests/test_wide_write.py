@@ -22,6 +22,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.bitmatrix import kernel
 from repro.codes import make_code
 from repro.codes.base import Cell
 from repro.codes.registry import CODE_FAMILIES, supports_size
@@ -33,6 +34,7 @@ from repro.traces import TraceRequest
 from repro.volume import Restriper, ShardSpec, VolumeManager
 
 from tests.test_journal import Crash, CrashingJournal
+from tests.test_xor_kernel import code_with_empty_cells
 
 CHUNK = 64
 STRIPES = 14
@@ -252,6 +254,51 @@ class TestOracleEquivalence:
             )
         with pytest.raises(ValueError, match="inside the store"):
             store.write_stripes(STRIPES - 1, np.zeros(2 * stripe_bytes, np.uint8))
+        store.close()
+
+
+class TestUninitialisedBatch:
+    """The wide write allocates its batch uninitialised: whatever the
+    allocator hands back, the encode must leave every cell written and
+    every EMPTY cell zero, on the kernel and on the numpy fallback."""
+
+    @pytest.mark.parametrize("executor", ["kernel", "numpy"])
+    @pytest.mark.parametrize(
+        "code",
+        FAMILY_CODES + [code_with_empty_cells()],
+        ids=[code.name for code in FAMILY_CODES] + ["empty-demo"],
+    )
+    def test_poisoned_allocation_is_overwritten(
+        self, tmp_path, monkeypatch, code, executor
+    ):
+        if executor == "numpy":
+            monkeypatch.setattr(kernel, "XOR_PLAN", None)
+        elif kernel.XOR_PLAN is None:
+            pytest.skip("no C compiler: numpy fallback only")
+        store = ArrayStore(code, tmp_path / "s", stripes=STRIPES, chunk_bytes=CHUNK)
+        count = 3
+        stripe_bytes = code.num_data * CHUNK
+        data = np.random.default_rng(4).integers(
+            0, 256, count * stripe_bytes, dtype=np.uint8
+        )
+        real_empty = np.empty
+
+        def poisoned(shape, dtype=float, **kwargs):
+            out = real_empty(shape, dtype=dtype, **kwargs)
+            out.fill(0xA5)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        batch = store._encode_stripes(data)
+        monkeypatch.setattr(np, "empty", real_empty)
+        for index in range(count):
+            packets = data[index * stripe_bytes : (index + 1) * stripe_bytes]
+            expected = code.make_stripe(packets.reshape(code.num_data, CHUNK))
+            assert np.array_equal(batch[:, index].transpose(1, 0, 2), expected)
+        for row in range(code.rows):
+            for col in range(code.cols):
+                if code.kind(row, col) == Cell.EMPTY:
+                    assert not batch[col, :, row].any()
         store.close()
 
 
