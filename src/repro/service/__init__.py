@@ -1,19 +1,23 @@
-"""Concurrent block-service layer: many callers, one array.
+"""Service layer: many callers, one array or one volume.
 
 Everything below this package — :class:`~repro.store.ArrayStore`, the
 write-back :class:`~repro.raid.StripeCache`, the
-:class:`~repro.faults.repair.RepairController` — began life assuming
-exactly one caller. This package is the front-end that removes the
-assumption:
+:class:`~repro.faults.repair.RepairController`, the
+:class:`~repro.volume.VolumeManager` — runs one request at a time
+through a service front door:
 
-* :mod:`repro.service.locks` — the locking discipline: an array-level
-  readers-writer lock (foreground shared, maintenance exclusive) above
-  refcounted per-stripe mutexes acquired in ascending order (deadlock-
-  free by construction);
-* :mod:`repro.service.scheduler` — :class:`BlockService`, the
-  thread-pool request front-end with semaphore admission and the QoS
-  arbiter that interleaves throttled repair ticks with foreground
-  traffic;
+* :mod:`repro.service.locks` — the concurrency primitives: the flat
+  combining queue both front doors run their requests from (one FIFO
+  queue, one request below it at a time, run back to back by whichever
+  caller holds the combiner role), the FIFO admission semaphore, and the
+  array readers-writer lock above ordered per-stripe locks that
+  ``VolumeManager`` keeps for its direct callers;
+* :mod:`repro.service.scheduler` — :class:`BlockService`, the front door
+  of one array: flat combining on the callers' threads, a coalescing
+  dispatcher thread only where batches merge span I/O (``batch_size``
+  above 1 on a store without a stripe cache), ``max_inflight``
+  admission, and the QoS arbiter that interleaves throttled repair
+  ticks with foreground traffic;
 * :mod:`repro.service.loadgen` — the closed-loop load generator:
   barrier-synchronized workers replaying traces concurrently, per-
   request latency sampling (p50/p99 vs offered load), and the
@@ -21,10 +25,9 @@ assumption:
   contract (disjoint concurrent replay ≡ serial replay, byte for byte
   and counter for counter);
 * :mod:`repro.service.volume` — :class:`VolumeService`, the same
-  front-end over a multi-array :class:`~repro.volume.VolumeManager`:
-  flat combining (one FIFO queue, one request in the volume at a time,
-  run back to back by whichever caller holds the combiner role) plus a
-  background thread that restripes the volume online, under load.
+  combining front door over a multi-array
+  :class:`~repro.volume.VolumeManager`, plus a background thread that
+  restripes the volume online, under load.
 """
 
 from repro.service.loadgen import (

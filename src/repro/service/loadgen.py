@@ -58,12 +58,14 @@ class ConcurrentReplayResult(ServiceStats):
     repair: "RepairStats | None" = None
     #: Physical backing-file syscalls over the replay window.
     syscalls: SyscallCounters = field(default_factory=SyscallCounters)
-    #: Lock-contention counters from :meth:`BlockService.contention`.
+    #: Admission counters from :meth:`BlockService.contention`: the
+    #: ``max_inflight`` gate's acquisitions and blocked milliseconds.
     contention: dict[str, float | int] = field(default_factory=dict)
     #: CPUs on the recording host (scaling context for the counters).
     host_cpus: int = 0
     #: Batch geometry: requested batch size (0 = per-request execution)
-    #: and batches actually dispatched.
+    #: and batches actually executed (one per request unless a
+    #: dispatcher composed them).
     batch_size: int = 0
     batches: int = 0
 
@@ -204,10 +206,12 @@ def replay_concurrent(
     """Replay ``traces`` concurrently, one closed-loop worker per trace.
 
     Workers start together (barrier-synchronized) and each replays its
-    trace through a shared :class:`BlockService`. With
-    ``batch_size > 1`` the service batches — workers stay closed-loop,
-    so batches only fill as far as the worker count allows; use
-    :func:`replay_batched` for an open-loop batch sweep.
+    trace through a shared :class:`BlockService`, whose combining queue
+    runs their requests one at a time, in arrival order, on the workers'
+    own threads. With ``batch_size > 1`` on a store without a stripe
+    cache the service's dispatcher batches instead — workers stay
+    closed-loop, so batches only fill as far as the worker count allows;
+    use :func:`replay_batched` for an open-loop batch sweep.
     """
 
     def drive(service: BlockService) -> None:
@@ -266,15 +270,19 @@ def replay_batched(
     """Replay ``trace`` open-loop through a batching service.
 
     One submitter issues requests in strict trace order via
-    :meth:`BlockService.enqueue`; the admission gate (``window``
-    outstanding requests, default ``16 * batch_size``) is the only
-    backpressure, so the dispatcher sees a standing queue and batches
-    actually fill — a closed-loop worker pool can never offer more than
-    ``workers`` concurrent requests, which is why the worker sweep and
-    the batch sweep are different experiments. The default window is
-    deliberately much deeper than one batch: it is the dispatcher's
-    stripe-affinity reorder horizon, and affinity is what converts
-    cross-request overlap into span coalescing. Replay stays
+    :meth:`BlockService.enqueue`. Batches fill only on a store without a
+    stripe cache, where the service runs a dispatcher: the admission
+    gate (``window`` outstanding requests, default ``16 * batch_size``)
+    is the only backpressure, so the dispatcher sees a standing queue
+    and batches actually fill — a closed-loop worker pool can never
+    offer more than ``workers`` concurrent requests, which is why the
+    worker sweep and the batch sweep are different experiments. The
+    default window is deliberately much deeper than one batch: it is the
+    dispatcher's stripe-affinity reorder horizon, and affinity is what
+    converts cross-request overlap into span coalescing. On a cached
+    store, and at ``batch_size=1``, every request runs on the submitter's
+    thread as it is issued, a batch of one, so the replay is the serial
+    one, down to the cache's hit and eviction counts. Replay stays
     deterministic at the byte level regardless of batch size: the
     dispatcher preserves per-stripe FIFO order and requests on disjoint
     stripes commute, so any two batch sizes produce byte-identical

@@ -8,24 +8,14 @@ the volume → shard → stripe lock ladder, which its direct callers still
 rely on); the service decides *who runs when*:
 
 * **flat combining.** Every request — a read, a write, a restripe tick —
-  joins one FIFO queue. A caller that finds no *combiner* (the thread
-  currently running queued requests) becomes it and runs the queue in
-  arrival order on its own thread; every other caller sleeps until its
-  request has run. At most one request executes in the volume, and
-  the combiner runs queued requests back to back, waking each caller
-  once its request is done, so no wake-up sits between two requests
-  (Hendler, Incze, Shavit and Tzafrir, "Flat Combining and the
-  Synchronization-Parallelism Tradeoff", SPAA 2010). Rounds are
-  bounded: once its own request is done, a combiner runs at most the
-  requests already waiting, then hands the role to the oldest waiter,
-  so with N callers it runs at most N − 1 other requests before it
-  returns.
-* **errors stay with their caller.** A request's ``Exception`` is raised
-  in its own caller only, and the combiner keeps serving. Any other
-  ``BaseException`` (``KeyboardInterrupt``, ``SystemExit``) means the
-  combiner's thread is going down: the request it interrupted fails
-  with it, it propagates on the combiner's thread, and the role passes
-  to the oldest waiter, so no waiter is left stranded.
+  joins one FIFO :class:`~repro.service.locks.CombiningQueue`, the
+  queue :class:`~repro.service.BlockService` runs from too. A caller
+  that finds no *combiner* (the thread currently running queued
+  requests) becomes it and runs the queue in arrival order on its own
+  thread; every other caller sleeps until its request has run. At most
+  one request executes in the volume, no wake-up sits between two
+  requests, rounds are bounded, and a request's ``Exception`` is raised
+  in its own caller only (the queue's docstring states the rules).
 * **a background migration driver.** :meth:`start_restripe` runs a
   :class:`~repro.volume.Restriper` on its own thread, which submits
   every tick and the final layout swap through the same queue while
@@ -47,7 +37,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -55,41 +44,12 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro._util import as_bytes_array
+from repro.service.locks import CombiningQueue, QueuedCall
 from repro.service.scheduler import ServiceStats
 from repro.volume.manager import ShardSpec, VolumeManager
 from repro.volume.restripe import Restriper, RestripeStats
 
 __all__ = ["VolumeService"]
-
-
-class _Request:
-    """One queued call and, once it has run, its outcome.
-
-    ``gate`` is created held; releasing it wakes the caller, which then
-    finds the outcome here, or ``leads`` set when it is to run the queue
-    as the combiner.
-    """
-
-    __slots__ = ("call", "gate", "leads", "result", "error")
-
-    def __init__(self, call: Callable[[], Any]) -> None:
-        self.call = call
-        self.gate = threading.Lock()
-        self.gate.acquire()
-        self.leads = False
-        self.result: Any = None
-        self.error: BaseException | None = None
-
-    def run(self) -> None:
-        """Run the call and keep its outcome. An ``Exception`` stays
-        with the request; any other ``BaseException`` propagates too,
-        because the thread running the request is going down."""
-        try:
-            self.result = self.call()
-        except BaseException as exc:  # noqa: BLE001 - the caller's
-            self.error = exc
-            if not isinstance(exc, Exception):
-                raise
 
 
 class VolumeService:
@@ -111,11 +71,8 @@ class VolumeService:
         self.workers = workers
         self.stats = ServiceStats()
         self._stats_lock = threading.Lock()
-        #: Guards ``_combining`` and the hand-off; requests are appended
-        #: under it and only the combiner takes them off the queue.
-        self._queue_lock = threading.Lock()
-        self._waiting: deque[_Request] = deque()
-        self._combining = False
+        #: Runs every request and restripe step, one at a time.
+        self._combiner = CombiningQueue()
         self._pool: ThreadPoolExecutor | None = None
         self._restriper: Restriper | None = None
         self._restripe_thread: threading.Thread | None = None
@@ -162,7 +119,7 @@ class VolumeService:
     # ------------------------------------------------------------------
     # flat combining
     # ------------------------------------------------------------------
-    def _permit(self, request: _Request) -> threading.Lock:
+    def _permit(self, request: QueuedCall) -> threading.Lock:
         """Queue ``request``; returns the gate its caller acquires to
         wait for its turn.
 
@@ -170,45 +127,16 @@ class VolumeService:
         ``request.leads`` set when the caller is to combine: at once if
         no combiner is active, else when the last one hands over.
         """
-        with self._queue_lock:
-            if self._combining:
-                self._waiting.append(request)
-            else:
-                self._combining = request.leads = True
-                request.gate.release()
-        return request.gate
+        return self._combiner.permit(request)
 
     def _execute(self, call: Callable[[], Any]) -> Any:
         """Run ``call`` as one queued request; returns its result or
         raises what it raised."""
-        request = _Request(call)
+        request = QueuedCall(call)
         self._permit(request).acquire()
         if request.leads:
-            self._combine(request)
-        if request.error is not None:
-            raise request.error
-        return request.result
-
-    def _combine(self, own: _Request) -> None:
-        """Run ``own``, then the requests waiting once it is done, in
-        arrival order; then hand the combiner role to the oldest waiter
-        left, or stand down."""
-        try:
-            own.run()
-            for _ in range(len(self._waiting)):
-                request = self._waiting.popleft()
-                try:
-                    request.run()
-                finally:
-                    request.gate.release()
-        finally:
-            with self._queue_lock:
-                if self._waiting:
-                    heir = self._waiting.popleft()
-                    heir.leads = True
-                    heir.gate.release()
-                else:
-                    self._combining = False
+            self._combiner.combine(request)
+        return request.outcome()
 
     def _timed(self, is_write: bool, length: int, call: Callable[[], Any]):
         """One foreground request: queued, run, and recorded in stats."""

@@ -685,16 +685,16 @@ class ArrayStore:
 
     def quarantine_interrupted_write(self, skip_disk: int | None) -> int:
         """Roll the calling thread's interrupted write forward *before*
-        its stripe locks are released; returns the span writes replayed.
+        any later write can land; returns the span writes replayed.
 
         The journal replays absolute span values, so the roll-forward
         must happen before any later write to the same stripe can land —
         otherwise the stale absolutes would silently erase that write's
         parity deltas (and the eventual rebuild would then "solve" the
         corrupted parity into a wrong data chunk with clean syndromes).
-        The service's fault path calls this from the faulting worker
-        while it still holds the shared array lock and its stripe locks,
-        which is exactly that before-anyone-else window. ``skip_disk``
+        The block service's fault path calls this from the faulting
+        request, before the fault leaves it and the next queued request
+        runs, which is exactly that before-anyone-else window. ``skip_disk``
         is the disk the in-flight fault names: it is not formally failed
         yet, but writing to it would just re-raise. Its record is
         dropped unwritten — identical to what
@@ -1147,9 +1147,8 @@ class ArrayStore:
         *between* planned writes (pre-read in the same batch, written
         back unchanged), and those gap chunks can belong to stripes the
         batch never locked; a concurrent writer could race them. The
-        batching service dispatches batches from a single thread while
-        holding the array lock shared (maintenance takes it exclusive),
-        which satisfies the contract.
+        block service runs one batch at a time below its combining
+        queue, which satisfies the contract.
         """
         normalized: list[tuple[bool, int, np.ndarray | int]] = []
         for is_write, offset, payload in ops:

@@ -642,14 +642,7 @@ class TestBatchedService:
             assert result.batches < len(trace)
         assert result.syscalls is not None and result.syscalls.total > 0
         assert result.host_cpus >= 1
-        for key in (
-            "admission_acquisitions",
-            "admission_wait_ms",
-            "array_lock_acquisitions",
-            "array_lock_wait_ms",
-            "stripe_lock_acquisitions",
-            "stripe_lock_wait_ms",
-        ):
+        for key in ("admission_acquisitions", "admission_wait_ms"):
             assert key in result.contention, key
 
     def test_replay_batched_cached_store_matches(self, tmp_path):

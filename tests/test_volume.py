@@ -3,8 +3,6 @@ audit, and the flat-combining VolumeService front-end."""
 
 import subprocess
 import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -13,6 +11,7 @@ from repro.service import VolumeService
 from repro.store import ArrayStore, IoCounters
 from repro.codes import make_code
 from repro.volume import ShardSpec, VolumeManager, VolumeMapping
+from tests.test_combining import CombiningContract
 
 
 def test_import_order_does_not_matter():
@@ -254,36 +253,24 @@ class TestCloseAudit:
         assert (tmp_path / "vol" / "intent.journal").stat().st_size == 0
 
 
-class _ThreadDeath(BaseException):
-    """Not an ``Exception``: what a thread going down raises."""
+class TestVolumeService(CombiningContract):
+    """``VolumeService``: the combining contract, plus what only a
+    volume front end does."""
 
+    def _open(self, tmp_path, workers=4):
+        vol = _create(tmp_path)
+        return VolumeService(vol, workers=workers), vol
 
-def _wait_for(predicate, timeout=10.0):
-    """Poll until ``predicate()`` holds; fails the test after ``timeout``."""
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "timed out waiting"
-        time.sleep(0.001)
+    def _capacity(self, backend):
+        return backend.volume_bytes
 
+    def _reopened_read(self, tmp_path, backend, offset, length):
+        with VolumeManager.open(tmp_path / "vol") as reopened:
+            return bytes(reopened.read_bytes(offset, length))
 
-def _start_queued(service, threads):
-    """Start ``threads`` one at a time, each once the previous one has
-    reached the queue: the first becomes the combiner and the rest
-    queue behind it in this order."""
-    for queued, thread in enumerate(threads):
-        thread.start()
-        _wait_for(
-            lambda: service._combining and len(service._waiting) == queued
-        )
+    def _scrub_clean(self, backend):
+        return backend.scrub() == {}
 
-
-def _join(threads):
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not any(thread.is_alive() for thread in threads)
-
-
-class TestVolumeService:
     def test_concurrent_disjoint_writers_match_shadow(self, tmp_path):
         vol = _create(tmp_path)
         service = VolumeService(vol, workers=4)
@@ -323,280 +310,6 @@ class TestVolumeService:
         assert service.stats.writes == 40
         assert service.stats.reads == 1
         assert len(service.stats.latencies_ms) == 41
-        service.close()
-
-    def test_one_request_runs_in_the_volume_at_a_time(self, tmp_path):
-        vol = _create(tmp_path)
-        service = VolumeService(vol, workers=8)
-        inflight, peak = [0], [0]
-        gate = threading.Lock()
-
-        def tracked(original):
-            def call(*args):
-                with gate:
-                    inflight[0] += 1
-                    peak[0] = max(peak[0], inflight[0])
-                try:
-                    return original(*args)
-                finally:
-                    with gate:
-                        inflight[0] -= 1
-
-            return call
-
-        vol.read_bytes = tracked(vol.read_bytes)
-        vol.write_bytes = tracked(vol.write_bytes)
-        # Extents alternate between the two shards: nothing below the
-        # service would keep these requests apart.
-        extents = vol.volume_bytes // 2048
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            futures = [
-                service.submit_write((i % extents) * 2048, b"\x5c" * 300)
-                if i % 2
-                else service.submit_read((i % extents) * 2048, 300)
-                for i in range(32)
-            ]
-            for future in futures:
-                future.result()
-        finally:
-            sys.setswitchinterval(interval)
-        assert peak[0] == 1
-        service.close()
-
-    def test_waiting_requests_run_in_fifo_order(self, tmp_path):
-        vol = _create(tmp_path)
-        service = VolumeService(vol)
-        release = threading.Event()
-        order = []
-        original = vol.write_bytes
-
-        def tracked(offset, data):
-            if offset == 0:
-                release.wait(10)  # hold the combiner while others queue
-            order.append(offset)
-            return original(offset, data)
-
-        vol.write_bytes = tracked
-        offsets = [0, 6144, 2048, 4096, 512]
-        threads = [
-            threading.Thread(target=service.write, args=(offset, b"\x07" * 64))
-            for offset in offsets
-        ]
-        _start_queued(service, threads)
-        release.set()
-        _join(threads)
-        assert order == offsets
-        service.close()
-
-    def test_a_failing_request_fails_only_its_caller(self, tmp_path):
-        vol = _create(tmp_path)
-        service = VolumeService(vol)
-        release = threading.Event()
-        original = vol.write_bytes
-
-        def held(offset, data):
-            if offset == 0:
-                release.wait(10)
-            return original(offset, data)
-
-        vol.write_bytes = held
-        outcomes = {}
-
-        def call(name, fn, *args):
-            try:
-                fn(*args)
-                outcomes[name] = "ok"
-            except Exception as exc:
-                outcomes[name] = exc
-
-        requests = [
-            ("combiner", service.write, 0, b"\x01" * 64),
-            ("bad", service.read, vol.volume_bytes, 64),
-            ("after", service.write, 2048, b"\x02" * 64),
-        ]
-        threads = [
-            threading.Thread(target=call, args=request) for request in requests
-        ]
-        _start_queued(service, threads)
-        release.set()
-        _join(threads)
-        assert outcomes["combiner"] == "ok"
-        assert isinstance(outcomes["bad"], ValueError)
-        assert outcomes["after"] == "ok"
-        assert service.read(2048, 64) == b"\x02" * 64
-        service.close()
-
-    def test_combiner_runs_at_most_the_requests_waiting(self, tmp_path):
-        """With N callers a combiner runs at most N - 1 other requests
-        after its own, then hands the role to the oldest waiter."""
-        vol = _create(tmp_path)
-        service = VolumeService(vol)
-        release = threading.Event()
-        ran_on = {}
-        original = vol.write_bytes
-        first, second = {}, {}
-
-        def tracked(offset, data):
-            if offset == 0:
-                release.wait(10)
-            if offset == first["D"]:
-                # B's next request arrives before this round ends.
-                _wait_for(lambda: len(service._waiting) == 1)
-            ran_on[offset] = threading.current_thread().name
-            return original(offset, data)
-
-        vol.write_bytes = tracked
-        first.update(A=0, B=2048, C=4096, D=6144)
-        second.update(B=512)
-
-        def caller(name):
-            service.write(first[name], b"\x03" * 64)
-            if name in second:
-                service.write(second[name], b"\x04" * 64)
-
-        threads = [
-            threading.Thread(target=caller, args=(name,), name=name)
-            for name in first
-        ]
-        _start_queued(service, threads)
-        release.set()
-        _join(threads)
-        assert {ran_on[offset] for offset in first.values()} == {"A"}
-        assert ran_on[second["B"]] == "B"
-        service.close()
-
-    @pytest.mark.parametrize("crashing", ["own", "waiter"])
-    def test_base_exception_in_the_combiner_strands_no_waiter(
-        self, tmp_path, crashing
-    ):
-        vol = _create(tmp_path)
-        service = VolumeService(vol)
-        release = threading.Event()
-        original = vol.write_bytes
-        crash_at = 0 if crashing == "own" else 2048
-        crashes = [1]
-
-        def tracked(offset, data):
-            if offset == 0:
-                release.wait(10)
-            if offset == crash_at and crashes:
-                crashes.pop()
-                raise _ThreadDeath()
-            return original(offset, data)
-
-        vol.write_bytes = tracked
-        raised = {}
-
-        def caller(offset):
-            try:
-                service.write(offset, b"\x05" * 64)
-                raised[offset] = None
-            except BaseException as exc:  # noqa: BLE001 - recorded
-                raised[offset] = exc
-
-        offsets = [0, 2048, 4096, 6144]
-        threads = [
-            threading.Thread(target=caller, args=(offset,)) for offset in offsets
-        ]
-        _start_queued(service, threads)
-        release.set()
-        _join(threads)
-        # The combiner's thread goes down, and so does the request it
-        # was running; the rest were handed on and ran.
-        assert isinstance(raised[0], _ThreadDeath)
-        assert isinstance(raised[crash_at], _ThreadDeath)
-        for offset in offsets[2:]:
-            assert raised[offset] is None
-            assert service.read(offset, 64) == b"\x05" * 64
-        service.write(0, b"\x06" * 64)  # the role was released
-        service.close()
-
-    def test_close_drains_the_queue(self, tmp_path):
-        vol = _create(tmp_path)
-        service = VolumeService(vol)
-        release = threading.Event()
-        original = vol.write_bytes
-
-        def held(offset, data):
-            if offset == 0:
-                release.wait(10)
-            return original(offset, data)
-
-        vol.write_bytes = held
-        writers = [
-            threading.Thread(target=service.write, args=(offset, b"\x08" * 64))
-            for offset in (0, 2048, 4096)
-        ]
-        _start_queued(service, writers)
-        closer = threading.Thread(target=service.close)
-        closer.start()
-        _wait_for(lambda: len(service._waiting) == 3)
-        release.set()
-        _join(writers + [closer])
-        with VolumeManager.open(tmp_path / "vol") as reopened:
-            for offset in (0, 2048, 4096):
-                assert bytes(reopened.read_bytes(offset, 64)) == b"\x08" * 64
-
-    def test_overlapping_callers_match_a_serial_model(self, tmp_path):
-        """Six threads read and write overlapping ranges with the GIL
-        handed over as often as it can be; replaying the requests in
-        the order they ran gives every read's bytes and the final
-        image, and the parity scrubs clean."""
-        vol = _create(tmp_path)
-        model = np.random.default_rng(3).integers(
-            0, 256, vol.volume_bytes, dtype=np.uint8
-        )
-        vol.write_bytes(0, model)
-        service = VolumeService(vol)
-        ran = []
-        read, write = vol.read_bytes, vol.write_bytes
-
-        def logged_read(offset, length):
-            data = read(offset, length)
-            ran.append((offset, length, data.copy(), False))
-            return data
-
-        def logged_write(offset, data):
-            write(offset, data)
-            ran.append((offset, data.size, data.copy(), True))
-
-        vol.read_bytes, vol.write_bytes = logged_read, logged_write
-        # Three extents across both shards, so ranges overlap often.
-        span = 3 * 2048
-
-        def client(seed):
-            rng = np.random.default_rng(seed)
-            for _ in range(30):
-                offset = int(rng.integers(0, span - 1))
-                length = int(rng.integers(1, min(900, span - offset) + 1))
-                if rng.random() < 0.6:
-                    payload = rng.integers(0, 256, length, dtype=np.uint8)
-                    service.write(offset, payload)
-                else:
-                    service.read(offset, length)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=client, args=(seed,))
-                for seed in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            _join(threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(ran) == 6 * 30
-        for offset, length, data, is_write in ran:
-            if is_write:
-                model[offset : offset + length] = data
-            else:
-                assert np.array_equal(data, model[offset : offset + length])
-        assert np.array_equal(vol.read_bytes(0, vol.volume_bytes), model)
-        assert vol.scrub() == {}
         service.close()
 
     def test_service_close_closes_volume(self, tmp_path):
