@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Sequence
 
 from repro.codes import make_code
 from repro.codes.base import ArrayCode
@@ -73,6 +74,31 @@ def emit(name: str, lines: list[str]) -> None:
     for line in lines:
         print(line)
     write_result(name, [banner, *lines])
+
+
+def full_size(size_envs: Sequence[str]) -> bool:
+    """True unless one of ``size_envs`` overrides a size: only a
+    full-size run may rewrite the committed records."""
+    return not any(os.environ.get(name) for name in size_envs)
+
+
+def record_target(
+    name: str, lines: list[str], json_path: Path, size_envs: Sequence[str]
+) -> Path | None:
+    """Print one experiment's table; returns the JSON file its numbers
+    go to.
+
+    At full size (none of ``size_envs`` set) that rewrites
+    ``results/<name>.txt`` and returns ``json_path``, the committed
+    record. A reduced run only prints, and returns the
+    ``REPRO_BENCH_JSON`` file if one is named, else None.
+    """
+    if full_size(size_envs):
+        emit(name, lines)
+        return json_path
+    print("\n".join([f"=== {name} (reduced size) ===", *lines]))
+    path = os.environ.get(BENCH_JSON_ENV)
+    return Path(path) if path else None
 
 
 def scaled_bytes(default_bytes: int) -> int:

@@ -26,7 +26,7 @@ loss-observability assertion arms only at full size.
 
 import os
 
-from _common import emit, format_table, record_json
+from _common import emit, format_table, full_size, record_json
 
 from repro.fleet import FleetScenario, run_fleet_trials
 
@@ -63,10 +63,6 @@ MODELS = (
 TOPOLOGY = "4x4x4"
 MTTF_HOURS = 8000.0
 SEED = 2015
-
-
-def full_size() -> bool:
-    return not (os.environ.get(TRIALS_ENV) or os.environ.get(STRIPES_ENV))
 
 
 def sweep():
@@ -169,7 +165,7 @@ def test_fleet_sweep(benchmark):
         correlated = cell(code, "random", "correlated")
         assert stress.mean_repair_read_mib > correlated.mean_repair_read_mib
 
-    if full_size():
+    if full_size((TRIALS_ENV, STRIPES_ENV)):
         # At full size the stress cells must make loss observable —
         # the whole point of recording the sweep (3DFT codes shrug off
         # the default rates; the hostile cell is where they differ).

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _common import BENCH_JSON_ENV, emit, format_table
+from _common import format_table, record_target
 from repro.codes import make_code
 from repro.faults import FaultPlan, RepairController, Scrubber
 from repro.raid import BlockDevice
@@ -54,12 +54,6 @@ ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = ROOT / "BENCH_scrub.json"
 
 
-def full_size() -> bool:
-    """True unless a size override is set: only a full-size run may
-    rewrite the committed records."""
-    return not any(os.environ.get(name) for name in SIZE_ENVS)
-
-
 def _record(name, lines, key, value):
     """Print one experiment's table and keep its numbers under ``key``.
 
@@ -67,15 +61,9 @@ def _record(name, lines, key, value):
     ``BENCH_scrub.json``; a reduced run only prints, and writes the
     entry to the ``REPRO_BENCH_JSON`` file if one is named.
     """
-    if full_size():
-        emit(name, lines)
-        path = JSON_PATH
-    else:
-        print("\n".join([f"=== {name} (reduced size) ===", *lines]))
-        path = os.environ.get(BENCH_JSON_ENV)
-        if not path:
-            return
-        path = Path(path)
+    path = record_target(name, lines, JSON_PATH, SIZE_ENVS)
+    if path is None:
+        return
     payload = json.loads(path.read_text()) if path.exists() else {}
     payload["config"] = {
         "code": "tip", "n": N, "stripes": STRIPES, "chunk_bytes": CHUNK,
