@@ -97,12 +97,10 @@ def _run_workload(volume, run_migration=None, min_seconds=0.0):
     stats = None
     if run_migration is not None:
         stats = run_migration(service)
-        with service._stats_lock:
-            sampled = len(service.stats.latencies_ms)
+        sampled = len(service.stats.latencies_ms)
     if min_seconds:
         time.sleep(min_seconds)
-        with service._stats_lock:
-            sampled = len(service.stats.latencies_ms)
+        sampled = len(service.stats.latencies_ms)
     stop.set()
     for thread in threads:
         thread.join()

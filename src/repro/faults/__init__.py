@@ -18,7 +18,7 @@ runnable against the real file-backed store:
   and repairs in place with data-before-parity ordering;
 * :mod:`repro.faults.repair` — a throttled :class:`RepairController`
   that drives degraded-array rebuild and background scrubbing
-  concurrently with foreground traffic in
+  between foreground requests in
   :meth:`repro.raid.BlockDevice.replay`.
 """
 

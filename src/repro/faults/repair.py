@@ -1,4 +1,4 @@
-"""Throttled online repair: rebuild + scrub concurrent with foreground I/O.
+"""Throttled online repair: rebuild + scrub interleaved with foreground I/O.
 
 :class:`RepairController` is the piece that turns the store's repair
 primitives into an *online* discipline. It owns two responsibilities:
@@ -20,17 +20,22 @@ primitives into an *online* discipline. It owns two responsibilities:
   foreground-impact-vs-repair-bandwidth tradeoff ``bench_scrub``
   measures.
 
-Incremental rebuild is made safe against concurrent writes with the
+Incremental rebuild is made safe against interleaved writes with the
 store's write watchers: stripes written by foreground traffic while the
 rebuild cursor is in flight are collected and re-rebuilt before the
 failure set is cleared, so a stripe rebuilt early and overwritten later
 can never leave a stale reconstructed column behind.
+
+The controller is single-caller, like the store: fault dispatch runs
+inside the request that hit the fault and ticks run between requests,
+never beside another call. Behind :class:`~repro.service.BlockService`
+both run below its combining queue; direct multi-threaded use is
+unsupported.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -76,6 +81,9 @@ class RepairController:
             converted to whole stripes (at least one) via the code's
             stripe footprint. Smaller values yield to foreground traffic
             more often; larger values finish repair sooner.
+
+    Single-caller, like its store: direct multi-threaded use is
+    unsupported (see the module docstring).
     """
 
     def __init__(
@@ -94,12 +102,6 @@ class RepairController:
         #: (and restorable) so a repair loop can resume across restarts.
         self.rebuild_cursor = 0
         self._watch: set[int] | None = None
-        # Serializes fault dispatch and repair ticks: several worker
-        # threads can surface the same injected fault at once, and two
-        # concurrent ``handle_fault`` calls for one fail-stop must fold
-        # into one replace-and-restart, not two. Reentrant: handling a
-        # fault raised *during* a tick re-enters from the same thread.
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     @property
@@ -132,20 +134,19 @@ class RepairController:
         budget) propagate as the store's own errors — the caller sees
         real data loss, not a silent swallow.
         """
-        with self._lock:
-            if isinstance(exc, FailStopError):
-                return self._handle_fail_stop(exc)
-            if isinstance(exc, LatentSectorError):
-                self.stats.latent_handled += 1
-                self._repair_lba_stripe(exc.lba)
-                self.store.complete_interrupted_write()
-                return True
-            if isinstance(exc, TransientIOError):
-                # The backend already burned its internal retries; one
-                # more attempt at request granularity is the last resort.
-                self.stats.transient_handled += 1
-                return True
-            return False
+        if isinstance(exc, FailStopError):
+            return self._handle_fail_stop(exc)
+        if isinstance(exc, LatentSectorError):
+            self.stats.latent_handled += 1
+            self._repair_lba_stripe(exc.lba)
+            self.store.complete_interrupted_write()
+            return True
+        if isinstance(exc, TransientIOError):
+            # The backend already burned its internal retries; one
+            # more attempt at request granularity is the last resort.
+            self.stats.transient_handled += 1
+            return True
+        return False
 
     def _handle_fail_stop(self, exc: FailStopError) -> bool:
         store = self.store
@@ -190,16 +191,15 @@ class RepairController:
         :meth:`handle_fault` and the slice is abandoned — the next tick
         resumes where appropriate.
         """
-        with self._lock:
-            self.stats.ticks += 1
-            try:
-                if self.rebuilding:
-                    return self._rebuild_tick()
-                return self.scrubber.step(max_stripes=self.stripes_per_tick)
-            except FaultError as exc:
-                if not self.handle_fault(exc):
-                    raise
-                return 0
+        self.stats.ticks += 1
+        try:
+            if self.rebuilding:
+                return self._rebuild_tick()
+            return self.scrubber.step(max_stripes=self.stripes_per_tick)
+        except FaultError as exc:
+            if not self.handle_fault(exc):
+                raise
+            return 0
 
     def _rebuild_tick(self) -> int:
         store = self.store

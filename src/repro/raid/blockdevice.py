@@ -146,7 +146,7 @@ class BlockDevice:
         """
         store = self.store
         cache = getattr(store, "cache", None)
-        cache_before = cache.snapshot_stats() if cache is not None else None
+        cache_before = cache.stats.snapshot() if cache is not None else None
         start = store.io.snapshot()
         per_request: list[IoCounters] = []
         reads = writes = 0
@@ -205,7 +205,7 @@ class BlockDevice:
             io=store.io.snapshot() - start,
             per_request=per_request,
             cache=(
-                cache.snapshot_stats() - cache_before
+                cache.stats.snapshot() - cache_before
                 if cache is not None
                 else None
             ),

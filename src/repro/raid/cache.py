@@ -58,7 +58,6 @@ always consistent either with the old data or with data already written.
 from __future__ import annotations
 
 import logging
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
@@ -255,6 +254,10 @@ class StripeCache:
     cached state for those stripes): the backend's wide whole-stripe
     write already writes every stored element with zero pre-reads, which
     no amount of coalescing can beat.
+
+    Single-caller, like the store it fronts: it takes no lock, so a
+    flush or an eviction runs to completion before the next request
+    folds into the cache. Direct multi-threaded use is unsupported.
     """
 
     def __init__(
@@ -282,39 +285,22 @@ class StripeCache:
         self.stats = CacheStats()
         self._roles = code.roles
         self._stripes: OrderedDict[int, ParityDeltaAccumulator] = OrderedDict()
-        # One reentrant lock guards every cache transition (LRU order,
-        # accumulator fold, flush, eviction, stats). Coarse by design:
-        # each transition is cheap relative to the backend chunk I/O it
-        # coalesces, and holding the lock across a whole fold/flush makes
-        # the per-stripe state machine atomic — a concurrent writer can
-        # never observe (or fold into) a stripe mid-flush. Reentrant
-        # because ``drop()`` calls ``flush()`` and eviction inside
-        # ``write()`` flushes the victim.
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._stripes)
+        return len(self._stripes)
 
     @property
     def cached_stripes(self) -> tuple[int, ...]:
         """Cached stripe indices, least recently used first."""
-        with self._lock:
-            return tuple(self._stripes)
+        return tuple(self._stripes)
 
     @property
     def dirty_stripes(self) -> tuple[int, ...]:
         """Cached stripes still owing writes, least recently used first."""
-        with self._lock:
-            return tuple(s for s, st in self._stripes.items() if st.is_dirty)
-
-    def snapshot_stats(self) -> CacheStats:
-        """An atomic copy of the running stats (no torn counter sets)."""
-        with self._lock:
-            return self.stats.snapshot()
+        return tuple(s for s, st in self._stripes.items() if st.is_dirty)
 
     # ------------------------------------------------------------------
     # metered backend I/O
@@ -386,8 +372,7 @@ class StripeCache:
 
     def invalidate(self, stripe: int) -> None:
         """Drop a stripe's cached state without flushing it."""
-        with self._lock:
-            self._stripes.pop(stripe, None)
+        self._stripes.pop(stripe, None)
 
     # ------------------------------------------------------------------
     # byte I/O
@@ -408,19 +393,16 @@ class StripeCache:
         while index < len(runs):
             run = runs[index]
             count = self.mapping.whole_stripes(run, buf.size - cursor)
-            # Lock per stripe-run (per wide write), not per request: a
-            # long write holds the cache only for one transition at a time.
-            with self._lock:
-                if count:
-                    nbytes = count * run.nbytes
-                    self._bypass_stripes(
-                        runs[index : index + count],
-                        buf[cursor : cursor + nbytes],
-                    )
-                else:
-                    count, nbytes = 1, run.nbytes
-                    self._price_raw_write(run)
-                    self._absorb_run(run, buf[cursor : cursor + nbytes])
+            if count:
+                nbytes = count * run.nbytes
+                self._bypass_stripes(
+                    runs[index : index + count],
+                    buf[cursor : cursor + nbytes],
+                )
+            else:
+                count, nbytes = 1, run.nbytes
+                self._price_raw_write(run)
+                self._absorb_run(run, buf[cursor : cursor + nbytes])
             index += count
             cursor += nbytes
 
@@ -484,34 +466,33 @@ class StripeCache:
         chunk_bytes = self.chunk_bytes
         cursor = 0
         for run in self.mapping.byte_runs(offset, length):
-            with self._lock:
-                state = self._stripes.get(run.stripe)
-                if state is not None:
-                    self._stripes.move_to_end(run.stripe)
-                consumed = 0
-                for index in range(run.length):
-                    within = run.start + index
-                    pos = self.code.data_positions[within]
-                    chunk = None if state is None else state.data.get(within)
-                    if chunk is None:
-                        chunk = self._read(run.stripe, pos)
-                        self.stats.read_chunk_misses += 1
-                        if state is not None:
-                            state.data[within] = chunk
-                    else:
-                        self.stats.read_chunk_hits += 1
-                    skip = run.skip if index == 0 else 0
-                    take = min(chunk_bytes - skip, run.nbytes - consumed)
-                    out[cursor : cursor + take] = chunk[skip : skip + take]
-                    cursor += take
-                    consumed += take
-                self._price_raw(self._raw.plan_read_run(run.start, run.length))
+            state = self._stripes.get(run.stripe)
+            if state is not None:
+                self._stripes.move_to_end(run.stripe)
+            consumed = 0
+            for index in range(run.length):
+                within = run.start + index
+                pos = self.code.data_positions[within]
+                chunk = None if state is None else state.data.get(within)
+                if chunk is None:
+                    chunk = self._read(run.stripe, pos)
+                    self.stats.read_chunk_misses += 1
+                    if state is not None:
+                        state.data[within] = chunk
+                else:
+                    self.stats.read_chunk_hits += 1
+                skip = run.skip if index == 0 else 0
+                take = min(chunk_bytes - skip, run.nbytes - consumed)
+                out[cursor : cursor + take] = chunk[skip : skip + take]
+                cursor += take
+                consumed += take
+            self._price_raw(self._raw.plan_read_run(run.start, run.length))
         return out
 
     def apply_batch(
         self, ops: "list[tuple[bool, int, np.ndarray | int]]"
     ) -> "list[np.ndarray | None]":
-        """Apply a batch of ops in order under one cache lock hold.
+        """Apply a batch of ops in order.
 
         The batched front-end's cache entry point: each
         ``(is_write, offset, payload_or_length)`` op runs the exact
@@ -521,19 +502,16 @@ class StripeCache:
         eviction fires exactly where the serial path fires it (capacity
         pressure in ``_touch``) so hit/miss accounting, chunk
         ``IoCounters`` and final contents stay byte-for-byte identical
-        to applying the ops one by one. What the batch amortizes is the
-        lock traffic: one reentrant hold instead of one acquisition per
-        stripe-run.
+        to applying the ops one by one.
         """
-        with self._lock:
-            results: "list[np.ndarray | None]" = []
-            for is_write, offset, payload in ops:
-                if is_write:
-                    self.write(offset, payload)
-                    results.append(None)
-                else:
-                    results.append(self.read(offset, payload))
-            return results
+        results: "list[np.ndarray | None]" = []
+        for is_write, offset, payload in ops:
+            if is_write:
+                self.write(offset, payload)
+                results.append(None)
+            else:
+                results.append(self.read(offset, payload))
+        return results
 
     # ------------------------------------------------------------------
     # flushing
@@ -544,30 +522,28 @@ class StripeCache:
 
         A stripe invalidated while the flush walks the list — e.g. by
         :meth:`ArrayStore.fail_disk` reacting to a fault surfaced by
-        this very flush, or a full-stripe bypass write racing in — is
-        simply skipped: its state is gone and owes nothing.
+        this very flush — is simply skipped: its state is gone and owes
+        nothing.
         """
-        with self._lock:
-            flushed = 0
-            for stripe in list(self._stripes):
-                state = self._stripes.get(stripe)
-                if state is None:
-                    continue  # invalidated mid-flush
-                if self._flush_stripe(stripe, state):
-                    flushed += 1
-            if flushed and logger.isEnabledFor(logging.DEBUG):
-                logger.debug("cache: flushed %d dirty stripes", flushed)
-            return flushed
+        flushed = 0
+        for stripe in list(self._stripes):
+            state = self._stripes.get(stripe)
+            if state is None:
+                continue  # invalidated mid-flush
+            if self._flush_stripe(stripe, state):
+                flushed += 1
+        if flushed and logger.isEnabledFor(logging.DEBUG):
+            logger.debug("cache: flushed %d dirty stripes", flushed)
+        return flushed
 
     def drop(self) -> None:
         """Flush everything, then empty the cache entirely."""
-        with self._lock:
-            logger.info(
-                "cache: dropping %d cached stripes (flush + disengage)",
-                len(self._stripes),
-            )
-            self.flush()
-            self._stripes.clear()
+        logger.info(
+            "cache: dropping %d cached stripes (flush + disengage)",
+            len(self._stripes),
+        )
+        self.flush()
+        self._stripes.clear()
 
     def _flush_stripe(
         self, stripe: int, state: ParityDeltaAccumulator

@@ -1,17 +1,18 @@
 """Service layer: many callers, one array or one volume.
 
 Everything below this package — :class:`~repro.store.ArrayStore`, the
-write-back :class:`~repro.raid.StripeCache`, the
+write-back :class:`~repro.raid.StripeCache`, the intent journals, the
 :class:`~repro.faults.repair.RepairController`, the
-:class:`~repro.volume.VolumeManager` — runs one request at a time
-through a service front door:
+:class:`~repro.volume.VolumeManager` — is single-caller and takes no
+locks. The two front doors here are the only concurrent entry points,
+and each runs one request at a time below it:
 
 * :mod:`repro.service.locks` — the concurrency primitives: the flat
   combining queue both front doors run their requests from (one FIFO
   queue, one request below it at a time, run back to back by whichever
-  caller holds the combiner role), the FIFO admission semaphore, and the
-  array readers-writer lock above ordered per-stripe locks that
-  ``VolumeManager`` keeps for its direct callers;
+  caller holds the combiner role) and the FIFO admission semaphore.
+  The array readers-writer lock and the ordered per-stripe locks stay
+  there too, although no module of the package takes them any more;
 * :mod:`repro.service.scheduler` — :class:`BlockService`, the front door
   of one array: flat combining on the callers' threads, a coalescing
   dispatcher thread only where batches merge span I/O (``batch_size``
@@ -38,22 +39,7 @@ from repro.service.loadgen import (
 )
 from repro.service.locks import ArrayRWLock, FifoSemaphore, StripeLockManager
 from repro.service.scheduler import BlockService, ServiceStats, percentile
-
-
-def __getattr__(name: str):
-    """Lazy ``VolumeService`` import.
-
-    ``repro.volume.manager`` imports this package for the locks, and
-    ``repro.service.volume`` imports the manager back — resolving
-    ``VolumeService`` on first attribute access instead of at package
-    import keeps the cycle open regardless of which package the caller
-    imports first.
-    """
-    if name == "VolumeService":
-        from repro.service.volume import VolumeService
-
-        return VolumeService
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.service.volume import VolumeService
 
 __all__ = [
     "ArrayRWLock",

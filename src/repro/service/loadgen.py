@@ -141,7 +141,7 @@ def _replay(
     io_before = store.io.snapshot()
     syscalls_before = store.syscalls.snapshot()
     cache = store.cache
-    cache_before = cache.snapshot_stats() if cache is not None else None
+    cache_before = cache.stats.snapshot() if cache is not None else None
     started = time.perf_counter()
     try:
         drive(service)
@@ -157,7 +157,7 @@ def _replay(
         elapsed_s=time.perf_counter() - started,
         io=store.io.snapshot() - io_before,
         cache=(
-            cache.snapshot_stats() - cache_before
+            cache.stats.snapshot() - cache_before
             if cache is not None
             else None
         ),

@@ -7,9 +7,9 @@
   Combining and the Synchronization-Parallelism Tradeoff", SPAA 2010);
 * :class:`FifoSemaphore` — the strict-FIFO admission gate that bounds
   ``BlockService``'s requests in flight (``max_inflight``);
-* the lock ladder that :class:`~repro.volume.VolumeManager` keeps for its
-  direct multi-threaded callers, always acquired in the same global
-  order:
+* a two-level lock ladder that no module of the package takes any more
+  (below the combining queue every layer is single-caller), always
+  acquired in the same global order:
 
   1. the **array lock** (:class:`ArrayRWLock`) — shared by foreground
      requests, exclusive for operations that change what *every* stripe
@@ -240,9 +240,8 @@ class FifoSemaphore:
 class ArrayRWLock:
     """A readers-writer lock with writer preference.
 
-    Foreground requests hold it shared; operations that change what
-    every stripe means (a volume's layout changes, scrub and close) hold
-    it exclusive.
+    Requests hold it shared; an operation that changes what every
+    stripe means (a layout change, a scrub, a close) holds it exclusive.
     Writer preference — a waiting writer blocks *new* readers — keeps a
     steady foreground stream from starving the writer forever.
 

@@ -42,8 +42,11 @@ one request, or one batch, runs at a time:
 
 Every request runs through one pipeline, :meth:`BlockService._dispatch`
 → :meth:`BlockService._complete`, as a batch: of one, or as the
-dispatcher composed it. Direct multi-threaded use of the store beside a
-running service is unsupported.
+dispatcher composed it. Everything below the queue (store, cache,
+journal, repair controller) is single-caller and takes no locks, so
+direct multi-threaded use of the store beside a running service is
+unsupported. Once :meth:`BlockService.close` has begun, every new
+request raises ``RuntimeError``.
 
 Latency is measured per request from admission to completion
 (:class:`ServiceStats` collects the samples; `p50/p99` come from
@@ -292,7 +295,8 @@ class BlockService:
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
         #: Whether a dispatcher composes batches: only where
-        #: ``execute_batch`` merges span I/O, on a store without a cache.
+        #: ``execute_batch`` merges span I/O, on a store without a cache,
+        #: and until :meth:`close` stops it (under ``_dispatcher_lock``).
         self._dispatching = batch_size > 1 and store.cache is None
         #: Dispatcher plumbing (inert unless ``_dispatching``).
         self._arrivals: "queue.SimpleQueue[_Request | None]" = (
@@ -324,19 +328,28 @@ class BlockService:
         return self._pool
 
     def close(self) -> None:
-        """Drain the pool, the dispatcher and the queue; then drain
-        repair and flush the cache, as one queued request."""
+        """Refuse new requests; drain the pool, the dispatcher and the
+        queue; then drain repair and flush the cache, as one queued
+        request. Requests submitted to the pool before still run."""
         if self._closed:
             return
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._dispatcher is not None:
-            self._arrivals.put(None)
-            self._dispatcher.join(timeout=60.0)
-            self._dispatcher = None
+        # A request that raced past the closed check finds the
+        # dispatcher gone and combines instead.
+        with self._dispatcher_lock:
+            dispatcher, self._dispatching = self._dispatcher, False
+            if dispatcher is not None:
+                self._arrivals.put(None)
+        if dispatcher is not None:
+            dispatcher.join(timeout=60.0)
         self._combiner.execute(self._drain_and_flush)
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("the block service is closed")
 
     def _drain_and_flush(self) -> None:
         if self.repair is not None:
@@ -374,25 +387,35 @@ class BlockService:
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``."""
-        check_byte_range(offset, length, self.capacity_bytes, "device")
-        return self._admit(False, offset, length, None).outcome().tobytes()
+        self._check_open()
+        return self._read(offset, length)
 
     def write(self, offset: int, data: bytes | bytearray | np.ndarray) -> None:
         """Write ``data`` at ``offset``."""
+        self._check_open()
+        self._write(offset, data)
+
+    def _read(self, offset: int, length: int) -> bytes:
+        check_byte_range(offset, length, self.capacity_bytes, "device")
+        return self._admit(False, offset, length, None).outcome().tobytes()
+
+    def _write(self, offset: int, data: bytes | bytearray | np.ndarray) -> None:
         buf = as_bytes_array(data)
         check_byte_range(offset, buf.size, self.capacity_bytes, "device")
         self._admit(True, offset, buf.size, buf).outcome()
 
     def submit_read(self, offset: int, length: int) -> "Future[bytes]":
         """Queue a read on the service pool; returns its future."""
+        self._check_open()
         check_byte_range(offset, length, self.capacity_bytes, "device")
-        return self._executor().submit(self.read, offset, length)
+        return self._executor().submit(self._read, offset, length)
 
     def submit_write(
         self, offset: int, data: bytes | bytearray | np.ndarray
     ) -> "Future[None]":
         """Queue a write on the service pool; returns its future."""
-        return self._executor().submit(self.write, offset, data)
+        self._check_open()
+        return self._executor().submit(self._write, offset, data)
 
     def enqueue(
         self,
@@ -413,6 +436,7 @@ class BlockService:
         has run, on this thread or on the combiner's, when this returns
         a completed future.
         """
+        self._check_open()
         if not self.batch_size:
             raise ValueError("enqueue() requires batched mode (batch_size > 0)")
         if is_write:
@@ -451,17 +475,7 @@ class BlockService:
             self, is_write, offset, length, payload, time.perf_counter()
         )
         self._admission.acquire()
-        if self._dispatching:
-            per_stripe = self._per_stripe_bytes
-            request.stripes = range(
-                offset // per_stripe, (offset + length - 1) // per_stripe + 1
-            )
-            # Running, so its holder cannot cancel it and resolving it
-            # cannot fail.
-            request.future = Future()
-            request.future.set_running_or_notify_cancel()
-            self._ensure_dispatcher()
-            self._arrivals.put(request)
+        if self._dispatching and self._to_dispatcher(request):
             return request
         request.gate = held_lock()
         self._combiner.permit(request).acquire()
@@ -602,18 +616,30 @@ class BlockService:
     # ------------------------------------------------------------------
     # the coalescing dispatcher (batch_size > 1, no stripe cache)
     # ------------------------------------------------------------------
-    def _ensure_dispatcher(self) -> None:
-        if self._dispatcher is not None:
-            return
+    def _to_dispatcher(self, request: _Request) -> bool:
+        """Hand ``request`` to the dispatcher, starting it on first use;
+        False once :meth:`close` has stopped it."""
         with self._dispatcher_lock:
-            if self._dispatcher is None and not self._closed:
-                thread = threading.Thread(
+            if not self._dispatching:
+                return False
+            per_stripe = self._per_stripe_bytes
+            request.stripes = range(
+                request.offset // per_stripe,
+                (request.offset + request.length - 1) // per_stripe + 1,
+            )
+            # Running, so its holder cannot cancel it and resolving it
+            # cannot fail.
+            request.future = Future()
+            request.future.set_running_or_notify_cancel()
+            if self._dispatcher is None:
+                self._dispatcher = threading.Thread(
                     target=self._dispatch_loop,
                     name="repro-batch-dispatcher",
                     daemon=True,
                 )
-                self._dispatcher = thread
-                thread.start()
+                self._dispatcher.start()
+            self._arrivals.put(request)
+            return True
 
     def _dispatch_loop(self) -> None:
         """Collect pending requests, compose affine batches, dispatch.

@@ -3,9 +3,9 @@
 :class:`VolumeService` is to a :class:`~repro.volume.VolumeManager` what
 :class:`~repro.service.BlockService` is to one
 :class:`~repro.store.ArrayStore` — the admission and threading layer.
-The volume already owns correctness (extent routing, journal ordering,
-the volume → shard → stripe lock ladder, which its direct callers still
-rely on); the service decides *who runs when*:
+The volume owns correctness (extent routing, journal ordering) for one
+caller at a time and takes no locks; the service decides *who runs
+when*, so that one request at a time is all the volume ever sees:
 
 * **flat combining.** Every request — a read, a write, a restripe tick —
   joins one FIFO :class:`~repro.service.locks.CombiningQueue`, the
@@ -16,10 +16,12 @@ rely on); the service decides *who runs when*:
   one request executes in the volume, no wake-up sits between two
   requests, rounds are bounded, and a request's ``Exception`` is raised
   in its own caller only (the queue's docstring states the rules).
-* **a background migration driver.** :meth:`start_restripe` runs a
-  :class:`~repro.volume.Restriper` on its own thread, which submits
-  every tick and the final layout swap through the same queue while
-  request threads keep flowing. A tick runs alone in the volume, so
+* **a background migration driver.** :meth:`start_restripe` builds a
+  :class:`~repro.volume.Restriper` as one queued request (its
+  constructor mounts the target shards and rewrites ``volume.json``)
+  and runs it on its own thread, which submits every tick and the final
+  layout swap through the same queue while request threads keep
+  flowing. A tick runs alone in the volume, so
   :attr:`RestripeStats.io <repro.volume.RestripeStats.io>` counts the
   migration's own I/O only, and a foreground request waits for at most
   the tick ahead of it: ``extents_per_tick`` bounds that stall.
@@ -29,8 +31,10 @@ shared :class:`~repro.store.IntentJournal` checkpoints at its
 group-commit boundaries.
 
 Stats reuse :class:`~repro.service.ServiceStats` (queue-to-completion
-latency per request, p50/p99 via the shared nearest-rank
-:func:`~repro.service.percentile`).
+latency per request, recorded inside the queued call, p50/p99 via the
+shared nearest-rank :func:`~repro.service.percentile`). Once
+:meth:`VolumeService.close` has begun, every new request raises
+``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ class VolumeService:
         self.volume = volume
         self.workers = workers
         self.stats = ServiceStats()
-        self._stats_lock = threading.Lock()
         #: Runs every request and restripe step, one at a time.
         self._combiner = CombiningQueue()
         self._pool: ThreadPoolExecutor | None = None
@@ -98,8 +101,10 @@ class VolumeService:
     def close(self) -> None:
         """Drain requests and any migration, then close the volume.
 
-        The volume's close is queued behind every request already
-        waiting, so those run first.
+        New requests raise ``RuntimeError`` from here on. The volume's
+        close is queued behind every request already waiting, so those
+        run first, and it runs even when the migration driver died; the
+        driver's error is raised afterwards.
         """
         if self._closed:
             return
@@ -107,8 +112,14 @@ class VolumeService:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self.join_restripe()
-        self._execute(self.volume.close)
+        try:
+            self.join_restripe()
+        finally:
+            self._execute(self.volume.close)
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("the volume service is closed")
 
     def __enter__(self) -> "VolumeService":
         return self
@@ -138,37 +149,57 @@ class VolumeService:
             self._combiner.combine(request)
         return request.outcome()
 
-    def _timed(self, is_write: bool, length: int, call: Callable[[], Any]):
-        """One foreground request: queued, run, and recorded in stats."""
+    def _timed(
+        self, is_write: bool, length: int, method: Callable[..., Any], *args
+    ) -> Any:
+        """One foreground request: queued, run, and recorded in stats
+        from admission to completion, inside the queued call."""
         started = time.perf_counter()
-        result = self._execute(call)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        with self._stats_lock:
-            self.stats.record(is_write, length, elapsed_ms)
-        return result
+
+        def call():
+            result = method(*args)
+            self.stats.record(
+                is_write, length, (time.perf_counter() - started) * 1e3
+            )
+            return result
+
+        return self._execute(call)
+
+    def _read(self, offset: int, length: int) -> bytes:
+        return self._timed(
+            False, length, self.volume.read_bytes, offset, length
+        ).tobytes()
+
+    def _write(self, offset: int, data: bytes | bytearray | np.ndarray) -> None:
+        buf = as_bytes_array(data)
+        self._timed(True, buf.size, self.volume.write_bytes, offset, buf)
 
     # ------------------------------------------------------------------
     # public I/O
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at volume ``offset``."""
-        call = partial(self.volume.read_bytes, offset, length)
-        return self._timed(False, length, call).tobytes()
+        self._check_open()
+        return self._read(offset, length)
 
     def write(self, offset: int, data: bytes | bytearray | np.ndarray) -> None:
         """Write ``data`` at volume ``offset``."""
-        buf = as_bytes_array(data)
-        self._timed(True, buf.size, partial(self.volume.write_bytes, offset, buf))
+        self._check_open()
+        self._write(offset, data)
 
     def submit_read(self, offset: int, length: int) -> "Future[bytes]":
-        """Queue a read on the service pool; returns its future."""
-        return self._executor().submit(self.read, offset, length)
+        """Queue a read on the service pool; returns its future. A
+        request queued before :meth:`close` still runs."""
+        self._check_open()
+        return self._executor().submit(self._read, offset, length)
 
     def submit_write(
         self, offset: int, data: bytes | bytearray | np.ndarray
     ) -> "Future[None]":
-        """Queue a write on the service pool; returns its future."""
-        return self._executor().submit(self.write, offset, data)
+        """Queue a write on the service pool; returns its future. A
+        request queued before :meth:`close` still runs."""
+        self._check_open()
+        return self._executor().submit(self._write, offset, data)
 
     # ------------------------------------------------------------------
     # migration driver
@@ -180,16 +211,19 @@ class VolumeService:
         tick_delay: float = 0.0,
     ) -> Restriper:
         """Start (or resume, with ``target=None``) a migration on a
-        background thread; foreground requests keep flowing. Each tick,
-        and the final swap, runs as one queued request."""
+        background thread; foreground requests keep flowing. Building
+        the :class:`~repro.volume.Restriper`, each tick and the final
+        swap each run as one queued request."""
+        self._check_open()
         if self._restripe_thread is not None:
             raise RuntimeError("a restripe driver is already running")
-        restriper = Restriper(
+        restriper = self._execute(partial(
+            Restriper,
             self.volume,
             target,
             extents_per_tick=extents_per_tick,
             tick_delay=tick_delay,
-        )
+        ))
         self._restriper = restriper
         self._restripe_error = None
 

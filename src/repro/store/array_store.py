@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Sequence
 
@@ -155,6 +154,12 @@ class ArrayStore:
     geometry raises ``ValueError`` rather than destroying the contents.
     Backing files are kept open (unbuffered) for the store's lifetime;
     call :meth:`close` or use the store as a context manager.
+
+    Single-caller: the store takes no locks, and each call must return
+    before the next starts. Serve concurrent callers through
+    :class:`~repro.service.BlockService` (or, for a volume's shards,
+    :class:`~repro.service.VolumeService`); direct multi-threaded use
+    is unsupported.
     """
 
     def __init__(
@@ -221,16 +226,6 @@ class ArrayStore:
         self._disk_bytes = self.planner.mapping.disk_bytes(stripes)
         self._handles: dict[int, BinaryIO] = {}
         self._decoder: Decoder | None = None
-        # Thread-safety primitives. Span I/O itself is positional
-        # (pread/preadv/pwritev — no shared file cursor); these locks cover
-        # the remaining shared mutable state so concurrent callers under
-        # the service layer's per-stripe discipline cannot corrupt
-        # bookkeeping: handle open/close, counter increments, the decoder
-        # memo, and the write-watcher registry.
-        self._handles_lock = threading.Lock()
-        self._meter_lock = threading.Lock()
-        self._decoder_lock = threading.Lock()
-        self._watchers_lock = threading.Lock()
         #: The write-intent journal. Default: a private in-memory
         #: journal, active only under a fault plan (it exists to roll an
         #: injected-fault-interrupted write forward; absolute span
@@ -320,10 +315,9 @@ class ArrayStore:
             if self.cache is not None:
                 self.cache.flush()
         finally:
-            with self._handles_lock:
-                for handle in self._handles.values():
-                    handle.close()
-                self._handles.clear()
+            for handle in self._handles.values():
+                handle.close()
+            self._handles.clear()
 
     def set_fault_plan(self, plan: "FaultPlan | None") -> None:
         """Attach (or with ``None`` detach) a fault-injection plan.
@@ -377,20 +371,15 @@ class ArrayStore:
         asked for, and on a sparse file's holes it made each 4 KiB read
         cost about 0.3 ms instead of a few microseconds.
         """
-        with self._handles_lock:
-            handle = self._handles.get(disk)
-            if handle is None or handle.closed:
-                handle = self._disk_path(disk).open("r+b", buffering=0)
-                if _HAS_FADVISE:
-                    os.posix_fadvise(
-                        handle.fileno(), 0, 0, os.POSIX_FADV_RANDOM
-                    )
-                self._handles[disk] = handle
-            return handle
+        handle = self._handles.get(disk)
+        if handle is None or handle.closed:
+            handle = self._disk_path(disk).open("r+b", buffering=0)
+            if _HAS_FADVISE:
+                os.posix_fadvise(handle.fileno(), 0, 0, os.POSIX_FADV_RANDOM)
+            self._handles[disk] = handle
+        return handle
 
     def _raw_read_span(self, disk: int, offset: int, length: int) -> bytes:
-        # Positional read: no shared file cursor, so concurrent span I/Os
-        # on one disk never interleave seek/read pairs.
         fd = self._handle(disk).fileno()
         parts = []
         remaining = length
@@ -406,8 +395,7 @@ class ArrayStore:
             parts.append(piece)
             remaining -= len(piece)
             cursor += len(piece)
-        with self._meter_lock:
-            self.syscalls.reads += calls
+        self.syscalls.reads += calls
         return b"".join(parts) if len(parts) > 1 else parts[0]
 
     def _raw_write_span(self, disk: int, offset: int, data) -> None:
@@ -429,11 +417,10 @@ class ArrayStore:
                 raise IOError(f"short write on disk {disk} at offset {offset}")
             view = view[written:]
             cursor += written
-        with self._meter_lock:
-            if _HAS_PWRITEV:
-                self.syscalls.vector_writes += calls
-            else:
-                self.syscalls.writes += calls
+        if _HAS_PWRITEV:
+            self.syscalls.vector_writes += calls
+        else:
+            self.syscalls.writes += calls
 
     def _read_span(self, disk: int, offset: int, length: int) -> bytes:
         if self._backend is not None:
@@ -464,8 +451,7 @@ class ArrayStore:
                 raise IOError(f"short read on disk {disk} at offset {offset}")
             view = view[got:]
             cursor += got
-        with self._meter_lock:
-            self.syscalls.vector_reads += calls
+        self.syscalls.vector_reads += calls
 
     def _write_span(self, disk: int, offset: int, data) -> None:
         if self._backend is not None:
@@ -476,25 +462,22 @@ class ArrayStore:
     def _reset_last_io(self) -> None:
         """Start a fresh ``last_io`` window for one public operation.
 
-        ``last_io`` is inherently a *single-caller* diagnostic: under
-        concurrent callers the windows of different operations overlap
-        and the per-operation attribution is meaningless (the aggregate
-        :attr:`io` stays exact — every increment happens under the meter
-        lock). The service layer therefore reports per-request latency
-        and aggregate counters instead of per-request ``last_io``.
+        The window is rebound, not cleared, so a reference held to the
+        previous operation's counters stays as it was. Behind a service
+        front door, an operation is whatever the queue ran last; the
+        service layer reports per-request latency and aggregate
+        :attr:`io` instead.
         """
-        with self._meter_lock:
-            self.last_io = IoCounters()
+        self.last_io = IoCounters()
 
     def _count(self, data: int, parity: int, *, wrote: bool) -> None:
-        with self._meter_lock:
-            for counters in (self.io, self.last_io):
-                if wrote:
-                    counters.data_chunks_written += data
-                    counters.parity_chunks_written += parity
-                else:
-                    counters.data_chunks_read += data
-                    counters.parity_chunks_read += parity
+        for counters in (self.io, self.last_io):
+            if wrote:
+                counters.data_chunks_written += data
+                counters.parity_chunks_written += parity
+            else:
+                counters.data_chunks_read += data
+                counters.parity_chunks_read += parity
 
     def _count_element(self, pos: tuple[int, int], *, wrote: bool) -> None:
         role = self._roles.get(pos)
@@ -505,10 +488,9 @@ class ArrayStore:
         """The decoder for the present failure set, reused across stripes
         and operations (the algebra is solved once per ``(code, failed)``)."""
         key = tuple(sorted(self.failed))
-        with self._decoder_lock:
-            if self._decoder is None or self._decoder.failed != key:
-                self._decoder = self.code.decoder_for(key)
-            return self._decoder
+        if self._decoder is None or self._decoder.failed != key:
+            self._decoder = self.code.decoder_for(key)
+        return self._decoder
 
     # ------------------------------------------------------------------
     # element / stripe I/O
@@ -533,10 +515,8 @@ class ArrayStore:
         self._count_element(pos, wrote=True)
         # Element writes mutate surviving columns outside the planner
         # path (scrubber repairs, cache flushes): an in-flight rebuild
-        # must re-reconstruct the stripe afterwards. Snapshot the
-        # registry (C-level copy, atomic under the GIL) so concurrent
-        # register/deregister can't disturb the iteration.
-        for watcher in tuple(self._write_watchers):
+        # must re-reconstruct the stripe afterwards.
+        for watcher in self._write_watchers:
             watcher.add(stripe)
 
     def read_element(self, stripe: int, pos: tuple[int, int]) -> np.ndarray:
@@ -684,8 +664,8 @@ class ArrayStore:
         return self._roll_journal_forward(skip=self.failed)
 
     def quarantine_interrupted_write(self, skip_disk: int | None) -> int:
-        """Roll the calling thread's interrupted write forward *before*
-        any later write can land; returns the span writes replayed.
+        """Roll the interrupted write forward *before* any later write
+        can land; returns the span writes replayed.
 
         The journal replays absolute span values, so the roll-forward
         must happen before any later write to the same stripe can land —
@@ -742,14 +722,12 @@ class ArrayStore:
         """Register and return a live set that collects the stripe index
         of every foreground write executed while watching."""
         watcher: set[int] = set()
-        with self._watchers_lock:
-            self._write_watchers.append(watcher)
+        self._write_watchers.append(watcher)
         return watcher
 
     def unwatch_writes(self, watcher: set[int]) -> None:
         """Deregister a set returned by :meth:`watch_writes`."""
-        with self._watchers_lock:
-            self._write_watchers.remove(watcher)
+        self._write_watchers.remove(watcher)
 
     # ------------------------------------------------------------------
     # logical byte / chunk I/O
@@ -844,7 +822,7 @@ class ArrayStore:
         else:
             self.write_stripes(run.stripe, payload)  # meters itself
             return
-        for watcher in tuple(self._write_watchers):
+        for watcher in self._write_watchers:
             watcher.add(run.stripe)
 
     def _splice(
@@ -1013,7 +991,7 @@ class ArrayStore:
         payload = payload.reshape(-1)
         self._store_stripes(stripe, self._encode_stripes(payload), payload)
         self.slow_path_writes += count
-        for watcher in tuple(self._write_watchers):
+        for watcher in self._write_watchers:
             watcher.update(range(stripe, stripe + count))
 
     def _encode_stripes(self, data: np.ndarray) -> np.ndarray:
@@ -1141,14 +1119,10 @@ class ArrayStore:
         groups and single-op batches fall back to the serial machinery,
         which is trivially equivalent.
 
-        **Concurrency contract**: the caller must guarantee no other
-        writer mutates the store for the duration of the call — not
-        just the touched stripes. Gap bridging writes back chunks
-        *between* planned writes (pre-read in the same batch, written
-        back unchanged), and those gap chunks can belong to stripes the
-        batch never locked; a concurrent writer could race them. The
-        block service runs one batch at a time below its combining
-        queue, which satisfies the contract.
+        Gap bridging writes back chunks *between* planned writes
+        (pre-read in the same batch, written back unchanged), and those
+        gap chunks can belong to stripes no op of the batch touches: one
+        more reason the store is single-caller.
         """
         normalized: list[tuple[bool, int, np.ndarray | int]] = []
         for is_write, offset, payload in ops:
@@ -1233,7 +1207,7 @@ class ArrayStore:
                     else:
                         self._fold_write_item(group.stripe, item, buf, state, dirty)
                         self.fast_path_writes += 1
-                    for watcher in tuple(self._write_watchers):
+                    for watcher in self._write_watchers:
                         watcher.add(group.stripe)
                 else:
                     self._fill_read_item(
@@ -1451,7 +1425,7 @@ class ArrayStore:
         This is the incremental unit the throttled repair loop drives:
         the array stays formally degraded (reads keep reconstructing on
         the fly, writes keep skipping failed columns) until every stripe
-        — including any re-dirtied by concurrent foreground writes, see
+        — including any re-dirtied by foreground writes between ticks, see
         :meth:`watch_writes` — has been rebuilt and the caller invokes
         :meth:`finish_rebuild`. Returns the stripes rebuilt.
         """

@@ -11,10 +11,9 @@ writes landed or how many times the replay itself is attempted.
 Two implementations share the :class:`WriteJournal` protocol:
 
 * :class:`MemoryJournal` — the original in-process journal extracted
-  from :class:`~repro.store.ArrayStore`. Intents live in thread-local
-  lists (each thread's in-flight operation owns its own transaction);
-  it survives injected faults, not process death. This is the default
-  every existing single-store configuration keeps.
+  from :class:`~repro.store.ArrayStore`. Intents live in one list per
+  shard; it survives injected faults, not process death. This is the
+  default every existing single-store configuration keeps.
 * :class:`IntentJournal` — a crash-consistent on-disk journal: intent
   records with CRC32-guarded headers and payloads are appended and
   fsynced *before* the first data write (journal-before-data ordering),
@@ -38,8 +37,13 @@ gathers header and payload views in one ``writev``.
 One journal instance can be **shared across stores**: every record
 carries the ``shard`` id of the store that logged it (the
 :class:`~repro.volume.VolumeManager` gives each of its shards a unique
-id), transactions are per ``(thread, shard)``, and recovery can be
+id), each shard has at most one open transaction, and recovery can be
 filtered per shard so each store rolls forward exactly its own writes.
+
+Both journals are single-caller, like the stores that drive them: they
+take no locks, and a journal shared by several stores is called by one
+of them at a time (a volume's shards, behind
+:class:`~repro.service.VolumeService`).
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import errno
 import logging
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol
@@ -121,13 +124,13 @@ class JournalRecord:
 class WriteJournal(Protocol):
     """Intent-journal protocol the store's write path drives.
 
-    Transaction scope is one mutating run on one shard, executed by one
-    thread: ``log`` each intended write (a span record, or a data record
-    of whole stripes), ``seal`` the transaction (a durability barrier —
-    nothing may be journaled *after* data writes begin), then ``commit``
-    once every write landed. ``pending`` exposes
-    the calling thread's sealed-but-uncommitted records so an
-    interrupted operation can be rolled forward in process.
+    Transaction scope is one mutating run on one shard, and a shard
+    has one transaction open at a time: ``log`` each intended write (a
+    span record, or a data record of whole stripes), ``seal`` the
+    transaction (a durability barrier — nothing may be journaled
+    *after* data writes begin), then ``commit`` once every write
+    landed. ``pending`` exposes the shard's not-yet-committed records
+    so an interrupted operation can be rolled forward in process.
     """
 
     def log(self, record: JournalRecord) -> None:
@@ -144,7 +147,7 @@ class WriteJournal(Protocol):
         ...  # pragma: no cover - protocol
 
     def pending(self, shard: int) -> list[JournalRecord]:
-        """The calling thread's in-flight records for ``shard``."""
+        """The in-flight records of ``shard``'s open transaction."""
         ...  # pragma: no cover - protocol
 
     def drop_pending(self, shard: int, record: JournalRecord) -> None:
@@ -158,16 +161,13 @@ class WriteJournal(Protocol):
 
 
 class MemoryJournal:
-    """The in-process journal: thread-local intent lists, no durability.
+    """The in-process journal: one intent list per shard, no durability.
 
-    Extracted verbatim in behaviour from the store's original
-    ``_journal_tls`` machinery: each thread's in-flight operation owns
-    its own transaction, a fault interrupts that same thread, and the
-    repair path rolls it forward on that thread too — so concurrent
-    writers can never clear each other's entries. ``seal`` is a no-op
-    (there is nothing to make durable) and recovery across process
-    restarts is impossible by design; that is :class:`IntentJournal`'s
-    job.
+    An interrupted operation's records stay pending until the repair
+    path rolls them forward, from whichever request runs next.
+    ``seal`` is a no-op (there is nothing to make durable) and recovery
+    across process restarts is impossible by design; that is
+    :class:`IntentJournal`'s job. Single-caller, like the store.
     """
 
     #: Memory journals survive injected faults only; reopen recovery is
@@ -176,33 +176,27 @@ class MemoryJournal:
     durable = False
 
     def __init__(self) -> None:
-        self._tls = threading.local()
-
-    def _entries(self) -> dict[int, list[JournalRecord]]:
-        by_shard = getattr(self._tls, "by_shard", None)
-        if by_shard is None:
-            by_shard = self._tls.by_shard = {}
-        return by_shard
+        self._entries: dict[int, list[JournalRecord]] = {}
 
     def log(self, record: JournalRecord) -> None:
-        """Queue ``record`` on the calling thread's pending list."""
-        self._entries().setdefault(record.shard, []).append(record)
+        """Queue ``record`` on its shard's pending list."""
+        self._entries.setdefault(record.shard, []).append(record)
 
     def seal(self, shard: int) -> None:
         """No durability barrier to take for an in-memory journal."""
         return None
 
     def commit(self, shard: int) -> None:
-        """Discard the calling thread's pending records for ``shard``."""
-        self._entries().pop(shard, None)
+        """Discard ``shard``'s pending records."""
+        self._entries.pop(shard, None)
 
     def pending(self, shard: int) -> list[JournalRecord]:
-        """Snapshot the calling thread's uncommitted records."""
-        return list(self._entries().get(shard, ()))
+        """Snapshot ``shard``'s uncommitted records."""
+        return list(self._entries.get(shard, ()))
 
     def drop_pending(self, shard: int, record: JournalRecord) -> None:
         """Remove one replayed record from the pending list (idempotent)."""
-        entries = self._entries().get(shard)
+        entries = self._entries.get(shard)
         if entries is not None:
             try:
                 entries.remove(record)
@@ -244,16 +238,17 @@ class IntentJournal:
             been appended since the last truncation/compaction, *even
             while transactions are open*. The checkpoint in
             :meth:`commit` only fires when no transaction is in flight —
-            under sustained concurrent load that moment never comes and
-            the file grows without bound. Compaction atomically rewrites
-            the file to just its live (sealed-but-uncommitted +
-            unrecovered) transactions, preserving their txn ids so later
-            commit markers still match. 0 disables the threshold.
+            while an interrupted transaction waits to be rolled forward,
+            or one found at open waits for recovery, that moment never
+            comes and the file would grow without bound. Compaction
+            atomically rewrites the file to just its live (sealed-but-
+            uncommitted + unrecovered) transactions, preserving their
+            txn ids so later commit markers still match. 0 disables the
+            threshold.
 
-    Thread safety: ``log``/``seal``/``commit`` may be called from many
-    threads (one in-flight transaction per ``(thread, shard)``); all
-    file appends happen under one internal lock, so records are never
-    interleaved mid-record.
+    Single-caller: each shard has at most one open transaction, and
+    ``log``/``seal``/``commit`` calls do not overlap, so records are
+    appended whole, one transaction at a time.
     """
 
     durable = True
@@ -273,15 +268,15 @@ class IntentJournal:
         self.checkpoint_records = checkpoint_records
         #: Threshold-triggered compactions performed (diagnostics).
         self.compactions = 0
-        self._lock = threading.Lock()
-        self._tls = threading.local()
         self._next_txn = 1
         self._unsynced_commits = 0
         self._records_since_checkpoint = 0
-        #: Sealed-but-uncommitted transactions by id, shared across
-        #: threads so `pending_records()` can audit the whole journal.
+        #: Each shard's logged, not yet committed records.
+        self._logged: dict[int, list[JournalRecord]] = {}
+        #: Sealed-but-uncommitted transactions by id, so
+        #: `pending_records()` can audit the whole journal.
         self._open_txns: dict[int, list[JournalRecord]] = {}
-        self._txn_of_thread: dict[tuple[int, int], int] = {}
+        self._txn_of_shard: dict[int, int] = {}
         #: Transactions found uncommitted on open, awaiting `recover`.
         self._recoverable: dict[int, list[JournalRecord]] = {}
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -421,13 +416,10 @@ class IntentJournal:
     # WriteJournal protocol
     # ------------------------------------------------------------------
     def _open_records(self, shard: int) -> list[JournalRecord]:
-        by_shard = getattr(self._tls, "by_shard", None)
-        if by_shard is None:
-            by_shard = self._tls.by_shard = {}
-        return by_shard.setdefault(shard, [])
+        return self._logged.setdefault(shard, [])
 
     def log(self, record: JournalRecord) -> None:
-        """Queue an intent on the calling thread's open transaction."""
+        """Queue an intent on its shard's open transaction."""
         self._open_records(record.shard).append(record)
 
     def seal(self, shard: int) -> None:
@@ -435,19 +427,17 @@ class IntentJournal:
         records = self._open_records(shard)
         if not records:
             return
-        key = (threading.get_ident(), shard)
-        with self._lock:
-            txn = self._next_txn
-            self._next_txn += 1
-            parts: list = []
-            for record in records:
-                parts.extend(self._encode(txn, record))
-            self._append(parts)
-            self._sync()
-            self._open_txns[txn] = list(records)
-            self._txn_of_thread[key] = txn
-            self._records_since_checkpoint += len(records)
-            self._maybe_compact_locked()
+        txn = self._next_txn
+        self._next_txn += 1
+        parts: list = []
+        for record in records:
+            parts.extend(self._encode(txn, record))
+        self._append(parts)
+        self._sync()
+        self._open_txns[txn] = list(records)
+        self._txn_of_shard[shard] = txn
+        self._records_since_checkpoint += len(records)
+        self._maybe_compact()
 
     def commit(self, shard: int) -> None:
         """Append the commit marker; fsync once per ``group_commit``.
@@ -456,29 +446,26 @@ class IntentJournal:
         file instead (the checkpoint): the truncation retires every
         record, this transaction's included, for the same one fsync.
         """
-        records = self._open_records(shard)
-        records.clear()
-        key = (threading.get_ident(), shard)
-        with self._lock:
-            txn = self._txn_of_thread.pop(key, None)
-            if txn is None:
-                return  # nothing sealed (journal-off path): no-op
-            self._open_txns.pop(txn, None)
-            self._unsynced_commits += 1
-            due = self._unsynced_commits >= self.group_commit
-            if due and not self._open_txns and not self._recoverable:
-                self._checkpoint_locked()
-                return
-            marker = JournalRecord(shard=shard, disk=0, offset=0, payload=b"")
-            self._append(list(self._encode(txn, marker, commit=True)))
-            self._records_since_checkpoint += 1
-            if due:
-                self._sync()
-                self._unsynced_commits = 0
-            self._maybe_compact_locked()
+        self._open_records(shard).clear()
+        txn = self._txn_of_shard.pop(shard, None)
+        if txn is None:
+            return  # nothing sealed (journal-off path): no-op
+        self._open_txns.pop(txn, None)
+        self._unsynced_commits += 1
+        due = self._unsynced_commits >= self.group_commit
+        if due and not self._open_txns and not self._recoverable:
+            self._truncate()
+            return
+        marker = JournalRecord(shard=shard, disk=0, offset=0, payload=b"")
+        self._append(list(self._encode(txn, marker, commit=True)))
+        self._records_since_checkpoint += 1
+        if due:
+            self._sync()
+            self._unsynced_commits = 0
+        self._maybe_compact()
 
     def pending(self, shard: int) -> list[JournalRecord]:
-        """Snapshot the calling thread's not-yet-committed intents."""
+        """Snapshot ``shard``'s not-yet-committed intents."""
         return list(self._open_records(shard))
 
     def drop_pending(self, shard: int, record: JournalRecord) -> None:
@@ -510,32 +497,29 @@ class IntentJournal:
         replays only what is still unmarked (idempotent end to end).
         """
         replayed = 0
-        with self._lock:
-            todo = sorted(
-                txn for txn, records in self._recoverable.items()
-                if shard is None or any(r.shard == shard for r in records)
-            )
+        todo = sorted(
+            txn for txn, records in self._recoverable.items()
+            if shard is None or any(r.shard == shard for r in records)
+        )
         for txn in todo:
-            records = self._recoverable.get(txn, ())
+            records = self._recoverable[txn]
             for record in records:
                 if shard is None or record.shard == shard:
                     writer(record)
                     replayed += 1
-            with self._lock:
-                remaining = [
-                    r for r in self._recoverable.get(txn, ())
-                    if shard is not None and r.shard != shard
-                ]
-                if remaining:
-                    self._recoverable[txn] = remaining
-                    continue
-                self._recoverable.pop(txn, None)
-                marker = JournalRecord(
-                    shard=shard if shard is not None else 0,
-                    disk=0, offset=0, payload=b"",
-                )
-                self._append(list(self._encode(txn, marker, commit=True)))
-                self._sync()
+            remaining = [
+                r for r in records if shard is not None and r.shard != shard
+            ]
+            if remaining:
+                self._recoverable[txn] = remaining
+                continue
+            self._recoverable.pop(txn, None)
+            marker = JournalRecord(
+                shard=shard if shard is not None else 0,
+                disk=0, offset=0, payload=b"",
+            )
+            self._append(list(self._encode(txn, marker, commit=True)))
+            self._sync()
         if replayed:
             logger.info(
                 "journal %s: recovered %d span write(s)%s",
@@ -546,21 +530,15 @@ class IntentJournal:
 
     def pending_records(self) -> list[JournalRecord]:
         """Every record not yet retired: sealed-but-uncommitted
-        transactions of live threads plus unrecovered transactions from
-        a previous process. The close-flush audit asserts this is empty
-        after an orderly shutdown."""
-        with self._lock:
-            records = [
-                record
-                for txn in sorted(self._open_txns)
-                for record in self._open_txns[txn]
-            ]
-            records.extend(
-                record
-                for txn in sorted(self._recoverable)
-                for record in self._recoverable[txn]
-            )
-        return records
+        transactions plus unrecovered transactions from a previous
+        process. The close-flush audit asserts this is empty after an
+        orderly shutdown."""
+        return [
+            record
+            for source in (self._open_txns, self._recoverable)
+            for txn in sorted(source)
+            for record in source[txn]
+        ]
 
     def iter_records(self) -> Iterator[tuple[int, int, JournalRecord]]:
         """Parse the on-disk file: yields ``(kind, txn, record)``
@@ -577,7 +555,7 @@ class IntentJournal:
     # ------------------------------------------------------------------
     # checkpoint / lifecycle
     # ------------------------------------------------------------------
-    def _checkpoint_locked(self) -> None:
+    def _truncate(self) -> None:
         """Truncate the file: every logged transaction is retired."""
         self._file.truncate(0)
         self._file.seek(0)
@@ -585,27 +563,26 @@ class IntentJournal:
         self._unsynced_commits = 0
         self._records_since_checkpoint = 0
 
-    def _maybe_compact_locked(self) -> None:
+    def _maybe_compact(self) -> None:
         """Compact once the append count crosses ``checkpoint_records``."""
         if (
             self.checkpoint_records
             and self._records_since_checkpoint >= self.checkpoint_records
         ):
-            self._compact_locked()
+            self._compact()
 
-    def _compact_locked(self) -> None:
+    def _compact(self) -> None:
         """Rewrite the file to just its live transactions, atomically.
 
-        The sustained-load companion of :meth:`_checkpoint_locked`:
-        retired transactions (intents plus commit markers) dominate the
-        file under steady traffic, and with some transaction always in
-        flight the quiescent truncation never fires. Live records —
-        sealed-but-uncommitted plus unrecovered — are re-encoded under
-        their *original* txn ids into a temp file which atomically
-        replaces the journal, so a commit marker appended afterwards
-        still matches its intents and a crash at any point leaves either
-        the complete old file or the complete new one (both recover
-        identically: the live set is the same).
+        The companion of :meth:`_truncate`: retired transactions
+        (intents plus commit markers) pile up in the file, and while
+        some transaction stays open the quiescent truncation never
+        fires. Live records — sealed-but-uncommitted plus unrecovered —
+        are re-encoded under their *original* txn ids into a temp file
+        which atomically replaces the journal, so a commit marker
+        appended afterwards still matches its intents and a crash at any
+        point leaves either the complete old file or the complete new
+        one (both recover identically: the live set is the same).
         """
         count = 0
         tmp = self.path.with_name(self.path.name + ".compact")
@@ -641,23 +618,21 @@ class IntentJournal:
 
     def checkpoint(self) -> bool:
         """Truncate the journal if nothing is pending; returns success."""
-        with self._lock:
-            if self._open_txns or self._recoverable:
-                return False
-            self._checkpoint_locked()
-            return True
+        if self._open_txns or self._recoverable:
+            return False
+        self._truncate()
+        return True
 
     def close(self) -> None:
         """Flush commit markers and close the file handle."""
-        with self._lock:
-            if self._file.closed:
-                return
-            if not self._open_txns and not self._recoverable:
-                self._checkpoint_locked()
-            elif self._unsynced_commits:
-                self._sync()
-                self._unsynced_commits = 0
-            self._file.close()
+        if self._file.closed:
+            return
+        if not self._open_txns and not self._recoverable:
+            self._truncate()
+        elif self._unsynced_commits:
+            self._sync()
+            self._unsynced_commits = 0
+        self._file.close()
 
     def __enter__(self) -> "IntentJournal":
         return self

@@ -15,17 +15,15 @@ geometry — and owns everything one array cannot:
   the shard set, the extent size, and any migration in flight, so
   :meth:`VolumeManager.open` reconstructs the exact routing state a
   crash interrupted;
-* **the locking discipline**, acquired strictly in the order
-  volume → shard → stripe: a volume-level readers-writer lock (shared
-  by foreground I/O *and* restripe ticks, exclusive only for
-  shutdown/metadata swaps), per-extent locks from a
-  :class:`~repro.service.StripeLockManager` keyed by extent index, and
-  per-shard stripe locks wrapped around every shard I/O so two volume
-  requests landing on one shard stripe through different extents can
-  never race its parity read-modify-write. A request is routed and
-  locked per extent, but the routed runs that are contiguous inside one
-  shard go to that shard as one I/O, so a long write reaches each shard
-  as whole stripes rather than extent-sized pieces.
+* **shard I/O merging**: a request is routed per extent, but the
+  routed runs that are contiguous inside one shard go to that shard as
+  one I/O, so a long write reaches each shard as whole stripes rather
+  than extent-sized pieces.
+
+A volume serves one caller at a time: it takes no locks, and every
+method, restripe steps included, must return before the next one
+starts. :class:`~repro.service.VolumeService` is the concurrent front
+door that guarantees this; direct multi-threaded use is unsupported.
 
 Shards keep their own write-back caches, planners, and counters; the
 volume aggregates per-shard :class:`~repro.store.IoCounters` with
@@ -41,7 +39,6 @@ import json
 import logging
 import os
 import shutil
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -51,7 +48,6 @@ import numpy as np
 from repro._util import as_bytes_array, check_byte_range
 from repro.codes import make_code
 from repro.raid.mapping import ArrayMapping
-from repro.service.locks import ArrayRWLock, StripeLockManager
 from repro.store import ArrayStore, IntentJournal, IoCounters
 from repro.volume.mapping import VolumeMapping, VolumeRun
 
@@ -120,9 +116,9 @@ class VolumeStatus:
 
 
 class _Shard:
-    """One mounted shard: its store, uid, and stripe-lock table."""
+    """One mounted shard: its store, uid and directory."""
 
-    __slots__ = ("uid", "spec", "store", "stripe_locks", "directory")
+    __slots__ = ("uid", "spec", "store", "directory")
 
     def __init__(
         self, uid: int, spec: ShardSpec, store: ArrayStore, directory: Path
@@ -131,7 +127,6 @@ class _Shard:
         self.spec = spec
         self.store = store
         self.directory = directory
-        self.stripe_locks = StripeLockManager()
 
 
 class _ShardIO:
@@ -156,9 +151,10 @@ class VolumeManager:
     Construct with :meth:`create` (a fresh volume) or :meth:`open` (an
     existing directory — uncommitted journal records are rolled forward
     and an interrupted migration's routing state is restored before the
-    constructor returns). The instance is thread-safe; many callers may
-    read/write concurrently while a :class:`~repro.volume.Restriper`
-    migrates extents in the background.
+    constructor returns). A :class:`~repro.volume.Restriper` migrates
+    extents between requests. Single-caller: direct multi-threaded use
+    is unsupported; serve concurrent callers through
+    :class:`~repro.service.VolumeService`.
     """
 
     def __init__(
@@ -173,9 +169,6 @@ class VolumeManager:
         self._meta = _meta
         self.extent_bytes: int = _meta["extent_bytes"]
         self.volume_bytes: int = _meta["volume_bytes"]
-        self._rwlock = ArrayRWLock()
-        self._extent_locks = StripeLockManager()
-        self._state_lock = threading.Lock()
         self._closed = False
         self._shards: list[_Shard] = [
             self._mount(entry) for entry in _meta["shards"]
@@ -311,8 +304,7 @@ class VolumeManager:
     @property
     def restripe_cursor(self) -> int:
         """Extents already living in the new layout."""
-        with self._state_lock:
-            return self._cursor
+        return self._cursor
 
     @property
     def io(self) -> IoCounters:
@@ -329,12 +321,7 @@ class VolumeManager:
     # routing
     # ------------------------------------------------------------------
     def _route(self, run: VolumeRun) -> tuple[_Shard, int]:
-        """Resolve one extent run to its shard by the cursor rule.
-
-        Must be called with ``run.extent``'s lock held: the restriper
-        advances the cursor only while holding the extents it copied,
-        so under the extent lock the answer cannot change mid-I/O.
-        """
+        """Resolve one extent run to its shard by the cursor rule."""
         if self._new_mapping is not None and run.extent < self._cursor:
             shard_index, base = self._new_mapping.locate(run.extent)
             within = run.volume_offset - run.extent * self.extent_bytes
@@ -345,8 +332,7 @@ class VolumeManager:
         """Route every extent run, then merge the runs contiguous inside
         one shard into one shard I/O (first-touched shard first).
 
-        Same locking rule as :meth:`_route`: the runs' extent locks must
-        be held. Runs routed to different layouts of a migration land on
+        Runs routed to different layouts of a migration land on
         different shard objects, so a merged I/O never mixes layouts.
         """
         ios: list[_ShardIO] = []
@@ -363,28 +349,6 @@ class VolumeManager:
             cursor += run.nbytes
         return ios
 
-    def _shard_write(
-        self, shard: _Shard, offset: int, payload: np.ndarray
-    ) -> None:
-        stripes = [
-            r.stripe
-            for r in shard.store.planner.mapping.byte_runs(
-                offset, payload.size
-            )
-        ]
-        with shard.stripe_locks.locked(stripes):
-            shard.store.write_bytes(offset, payload)
-
-    def _shard_read(
-        self, shard: _Shard, offset: int, length: int
-    ) -> np.ndarray:
-        stripes = [
-            r.stripe
-            for r in shard.store.planner.mapping.byte_runs(offset, length)
-        ]
-        with shard.stripe_locks.locked(stripes):
-            return shard.store.read_bytes(offset, length)
-
     # ------------------------------------------------------------------
     # public byte I/O
     # ------------------------------------------------------------------
@@ -392,35 +356,23 @@ class VolumeManager:
         """Write ``data`` at volume byte ``offset`` (any alignment)."""
         buf = as_bytes_array(data)
         check_byte_range(offset, buf.size, self.volume_bytes, "volume")
-        with self._rwlock.shared():
-            # Resolve runs under the volume lock: finish_restripe swaps
-            # the mapping and shard list under the exclusive lock, so a
-            # plan computed outside would route into retired shards.
-            runs = self.mapping.byte_runs(offset, buf.size)
-            with self._extent_locks.locked(run.extent for run in runs):
-                for io in self._shard_ios(runs):
-                    pieces = [buf[at : at + size] for at, size in io.pieces]
-                    self._shard_write(
-                        io.shard,
-                        io.offset,
-                        pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
-                    )
+        for io in self._shard_ios(self.mapping.byte_runs(offset, buf.size)):
+            pieces = [buf[at : at + size] for at, size in io.pieces]
+            io.shard.store.write_bytes(
+                io.offset,
+                pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
+            )
 
     def read_bytes(self, offset: int, length: int) -> np.ndarray:
         """Read ``length`` bytes at volume byte ``offset``."""
         check_byte_range(offset, length, self.volume_bytes, "volume")
         out = np.empty(length, dtype=np.uint8)
-        with self._rwlock.shared():
-            # Same ordering rule as write_bytes: the mapping may only
-            # be consulted under the volume lock.
-            runs = self.mapping.byte_runs(offset, length)
-            with self._extent_locks.locked(run.extent for run in runs):
-                for io in self._shard_ios(runs):
-                    data = self._shard_read(io.shard, io.offset, io.nbytes)
-                    done = 0
-                    for at, size in io.pieces:
-                        out[at : at + size] = data[done : done + size]
-                        done += size
+        for io in self._shard_ios(self.mapping.byte_runs(offset, length)):
+            data = io.shard.store.read_bytes(io.offset, io.nbytes)
+            done = 0
+            for at, size in io.pieces:
+                out[at : at + size] = data[done : done + size]
+                done += size
         return out
 
     # ------------------------------------------------------------------
@@ -445,28 +397,26 @@ class VolumeManager:
                 f"target holds {target_mapping.volume_bytes} bytes, "
                 f"less than the volume's {self.volume_bytes}"
             )
-        with self._rwlock.exclusive():
-            next_uid = self._meta["next_uid"]
-            entries = []
-            for spec in target:
-                entries.append(
-                    {
-                        "uid": next_uid,
-                        "dir": f"shard{next_uid:03d}",
-                        **spec.to_meta(),
-                    }
-                )
-                next_uid += 1
-            self._meta["next_uid"] = next_uid
-            self._meta["restripe"] = {"target": entries, "cursor": 0}
-            _write_meta(self.directory, self._meta)
-            self._new_shards = [self._mount(entry) for entry in entries]
-            self._new_mapping = VolumeMapping(
-                [s.store.capacity_bytes for s in self._new_shards],
-                self.extent_bytes,
+        next_uid = self._meta["next_uid"]
+        entries = []
+        for spec in target:
+            entries.append(
+                {
+                    "uid": next_uid,
+                    "dir": f"shard{next_uid:03d}",
+                    **spec.to_meta(),
+                }
             )
-            with self._state_lock:
-                self._cursor = 0
+            next_uid += 1
+        self._meta["next_uid"] = next_uid
+        self._meta["restripe"] = {"target": entries, "cursor": 0}
+        _write_meta(self.directory, self._meta)
+        self._new_shards = [self._mount(entry) for entry in entries]
+        self._new_mapping = VolumeMapping(
+            [s.store.capacity_bytes for s in self._new_shards],
+            self.extent_bytes,
+        )
+        self._cursor = 0
         logger.info(
             "volume %s: restripe started to %d target shard(s)",
             self.directory, len(target),
@@ -476,9 +426,8 @@ class VolumeManager:
         """Copy extents ``[start, start + count)`` old → new layout and
         durably advance the cursor; returns extents copied.
 
-        The restriper's inner loop. Runs under the volume lock *shared*
-        — foreground traffic keeps flowing — holding only the copied
-        extents' locks. The routing flip is ordered for crash safety:
+        The restriper's inner loop; foreground requests run between
+        calls. The routing flip is ordered for crash safety:
 
         1. every extent of the batch is copied (reads route old, the
            writes go straight to the new layout's shards, journaled by
@@ -496,23 +445,16 @@ class VolumeManager:
         if start >= end:
             return 0
         assert self._new_mapping is not None
-        with self._rwlock.shared(), self._extent_locks.locked(
-            range(start, end)
-        ):
-            for extent in range(start, end):
-                old_shard = self._shards[self.mapping.locate(extent)[0]]
-                old_base = self.mapping.locate(extent)[1]
-                data = self._shard_read(
-                    old_shard, old_base, self.extent_bytes
-                )
-                new_index, new_base = self._new_mapping.locate(extent)
-                self._shard_write(
-                    self._new_shards[new_index], new_base, data
-                )
-            with self._state_lock:
-                self._meta["restripe"]["cursor"] = end
-                _write_meta(self.directory, self._meta)
-                self._cursor = end
+        for extent in range(start, end):
+            old_index, old_base = self.mapping.locate(extent)
+            data = self._shards[old_index].store.read_bytes(
+                old_base, self.extent_bytes
+            )
+            new_index, new_base = self._new_mapping.locate(extent)
+            self._new_shards[new_index].store.write_bytes(new_base, data)
+        self._meta["restripe"]["cursor"] = end
+        _write_meta(self.directory, self._meta)
+        self._cursor = end
         return end - start
 
     def finish_restripe(self) -> None:
@@ -530,23 +472,21 @@ class VolumeManager:
                 f"restripe incomplete: cursor "
                 f"{self.restripe_cursor}/{self.total_extents}"
             )
-        with self._rwlock.exclusive():
-            for shard in self._new_shards:
-                shard.store.flush()
-            retired = self._shards
-            self._meta["shards"] = self._meta["restripe"]["target"]
-            self._meta["restripe"] = None
-            _write_meta(self.directory, self._meta)
-            self._shards = self._new_shards
-            self.mapping = self._new_mapping  # type: ignore[assignment]
-            self._new_shards = []
-            self._new_mapping = None
-            with self._state_lock:
-                self._cursor = 0
-            for shard in retired:
-                shard.store.close()
-                shutil.rmtree(shard.directory, ignore_errors=True)
-            self.journal.checkpoint()
+        for shard in self._new_shards:
+            shard.store.flush()
+        retired = self._shards
+        self._meta["shards"] = self._meta["restripe"]["target"]
+        self._meta["restripe"] = None
+        _write_meta(self.directory, self._meta)
+        self._shards = self._new_shards
+        self.mapping = self._new_mapping  # type: ignore[assignment]
+        self._new_shards = []
+        self._new_mapping = None
+        self._cursor = 0
+        for shard in retired:
+            shard.store.close()
+            shutil.rmtree(shard.directory, ignore_errors=True)
+        self.journal.checkpoint()
         logger.info(
             "volume %s: restripe complete, %d shard(s) retired",
             self.directory, len(retired),
@@ -557,44 +497,39 @@ class VolumeManager:
     # ------------------------------------------------------------------
     def flush(self) -> int:
         """Flush every shard's write-back cache; returns stripes flushed."""
-        with self._rwlock.shared():
-            return sum(
-                shard.store.flush() for shard in self._all_shards()
-            )
+        return sum(shard.store.flush() for shard in self._all_shards())
 
     def scrub(self) -> dict[int, list[int]]:
         """Scrub every shard; returns ``{shard_uid: corrupt_stripes}``
         for shards that found any."""
         findings: dict[int, list[int]] = {}
-        with self._rwlock.exclusive():
-            for shard in self._all_shards():
-                corrupt = shard.store.scrub()
-                if corrupt:
-                    findings[shard.uid] = corrupt
+        for shard in self._all_shards():
+            corrupt = shard.store.scrub()
+            if corrupt:
+                findings[shard.uid] = corrupt
         return findings
 
     def status(self) -> VolumeStatus:
-        """A consistent snapshot of shape, migration, and counters."""
-        with self._rwlock.shared():
-            restripe = self._meta.get("restripe")
-            return VolumeStatus(
-                directory=str(self.directory),
-                volume_bytes=self.volume_bytes,
-                extent_bytes=self.extent_bytes,
-                total_extents=self.total_extents,
-                shards=[dict(entry) for entry in self._meta["shards"]],
-                restripe_active=self.restriping,
-                restripe_cursor=self.restripe_cursor,
-                restripe_target=(
-                    [dict(e) for e in restripe["target"]] if restripe else []
-                ),
-                io=self.io,
-                failed_disks={
-                    shard.uid: sorted(shard.store.failed)
-                    for shard in self._all_shards()
-                    if shard.store.failed
-                },
-            )
+        """A snapshot of shape, migration, and counters."""
+        restripe = self._meta.get("restripe")
+        return VolumeStatus(
+            directory=str(self.directory),
+            volume_bytes=self.volume_bytes,
+            extent_bytes=self.extent_bytes,
+            total_extents=self.total_extents,
+            shards=[dict(entry) for entry in self._meta["shards"]],
+            restripe_active=self.restriping,
+            restripe_cursor=self.restripe_cursor,
+            restripe_target=(
+                [dict(e) for e in restripe["target"]] if restripe else []
+            ),
+            io=self.io,
+            failed_disks={
+                shard.uid: sorted(shard.store.failed)
+                for shard in self._all_shards()
+                if shard.store.failed
+            },
+        )
 
     # ------------------------------------------------------------------
     # lifecycle (the close-flush audit)
@@ -614,15 +549,14 @@ class VolumeManager:
             return
         self._closed = True
         first_error: BaseException | None = None
-        with self._rwlock.exclusive():
-            for shard in self._all_shards():
-                try:
-                    shard.store.close()
-                except BaseException as exc:  # noqa: BLE001 - reraise below
-                    if first_error is None:
-                        first_error = exc
-            orphans = self.journal.pending_records()
-            self.journal.close()
+        for shard in self._all_shards():
+            try:
+                shard.store.close()
+            except BaseException as exc:  # noqa: BLE001 - reraise below
+                if first_error is None:
+                    first_error = exc
+        orphans = self.journal.pending_records()
+        self.journal.close()
         if first_error is not None:
             raise first_error
         if orphans:

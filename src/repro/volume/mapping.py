@@ -120,8 +120,8 @@ class VolumeMapping:
         """Split a volume byte range into per-extent shard runs.
 
         Runs never merge across extents here, even when two extents
-        land adjacently on one shard: the restriper routes (and locks)
-        extent by extent, so the extent is the atom of routing the same
+        land adjacently on one shard: the restriper routes extent by
+        extent, so the extent is the atom of routing the same
         way the stripe is the array's. The manager merges runs into
         shard I/Os only after routing them.
         """

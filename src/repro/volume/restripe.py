@@ -10,9 +10,10 @@ driving ticks to completion. What it adds is the *routing* half:
 * extents below the cursor live in the new layout, extents at or above
   it in the old one (the cursor routing rule — see
   :mod:`repro.volume.mapping` for why extent identity is layout-free);
-* each tick copies a batch of extents under only those extents' locks
-  — foreground requests to *other* extents never wait, and requests to
-  the copied extents block for one batch, not one migration;
+* each tick copies one batch of extents and returns, so foreground
+  requests run between ticks: through
+  :class:`~repro.service.VolumeService` a request waits for at most one
+  tick, not one migration;
 * the cursor is made durable (metadata fsync) strictly *before*
   routing flips, so a crash mid-batch re-copies the batch into shards
   no foreground write has touched — idempotent by construction, with
@@ -68,10 +69,15 @@ class Restriper:
             already recorded in the volume's metadata (after a crash or
             a handoff between processes).
         extents_per_tick: copy batch size — the throttle. Small batches
-            minimize foreground stall per tick (only the batch's extent
-            locks are held); large batches finish sooner.
-        tick_delay: seconds to sleep between ticks in :meth:`run`,
-            yielding the lock manager to foreground threads.
+            minimize the foreground stall per tick; large batches
+            finish sooner.
+        tick_delay: seconds to sleep between ticks in :meth:`run`
+            (and in :meth:`~repro.service.VolumeService.start_restripe`'s
+            driver), leaving the volume to foreground requests.
+
+    Like the volume, single-caller: its constructor (which may call
+    :meth:`VolumeManager.begin_restripe`), :meth:`tick` and
+    :meth:`finish` must not overlap any other call on the volume.
     """
 
     def __init__(
@@ -107,7 +113,7 @@ class Restriper:
     def tick(self) -> int:
         """Copy the next batch of extents; returns extents copied.
 
-        Safe to interleave with foreground I/O from any thread. A
+        Foreground requests may run between ticks, never during one. A
         return of 0 means the cursor already reached the end (call
         :meth:`finish` to swap layouts).
         """
@@ -135,9 +141,10 @@ class Restriper:
 
     def run(self) -> RestripeStats:
         """Tick to completion (sleeping ``tick_delay`` between ticks),
-        then swap layouts. The foreground-friendly entry point: call
-        from a background thread while other threads keep reading and
-        writing the volume."""
+        then swap layouts, on the calling thread. To migrate under
+        foreground load, use
+        :meth:`~repro.service.VolumeService.start_restripe`, which
+        queues each tick between requests."""
         while not self.done:
             self.tick()
             if self.tick_delay and not self.done:

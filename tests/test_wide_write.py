@@ -454,13 +454,13 @@ class TestRestripeInFlight:
         new_shards = {id(shard.store) for shard in vol._new_shards}
 
         issued = []
-        original = VolumeManager._shard_write
+        original = ArrayStore.write_bytes
 
-        def spy(self, shard, offset, payload):
-            issued.append((id(shard.store), offset, payload.size))
-            return original(self, shard, offset, payload)
+        def spy(self, offset, payload):
+            issued.append((id(self), offset, payload.size))
+            return original(self, offset, payload)
 
-        monkeypatch.setattr(VolumeManager, "_shard_write", spy)
+        monkeypatch.setattr(ArrayStore, "write_bytes", spy)
         extent = vol.extent_bytes
         offset = (cursor - 5) * extent + 100
         payload = rng.integers(0, 256, 10 * extent, dtype=np.uint8)
