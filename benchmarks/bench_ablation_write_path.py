@@ -205,9 +205,9 @@ def store_partial_stripe(
 
 def test_ablation_store_partial_stripe(benchmark):
     """A 20-chunk run of a TIP n=8 stripe: reconstruct-write moves the
-    fewest chunks, and like the full-stripe path it issues one span I/O
-    per disk where delta issues one per chunk. Exact counts per write;
-    wall-clock time is recorded only."""
+    fewest chunks, and every path issues one span I/O per disk and
+    direction it touches. Exact counts per write; wall-clock time is
+    recorded only."""
     results = benchmark.pedantic(store_partial_stripe, rounds=1, iterations=1)
     rows = [
         [
@@ -225,12 +225,12 @@ def test_ablation_store_partial_stripe(benchmark):
         ),
     )
     # Rows 0-3 of the stripe are overwritten: 20 data + 16 dependent
-    # parity chunks. Delta reads and writes those 36, one syscall each;
-    # RCW reads the 10 data chunks of rows 4-5 (one preadv on each of
-    # disks 0-6) and writes the 36 (one pwritev on each of the 8 disks);
-    # the stripe path reads and writes all 48 (one pread and one pwritev
-    # per disk).
-    expected = {"delta": (72, 72), "rcw": (46, 15), "stripe": (96, 16)}
+    # parity chunks. Delta reads and writes those 36, one preadv and one
+    # pwritev per disk; RCW reads the 10 data chunks of rows 4-5 (one
+    # preadv on each of disks 0-6) and writes the 36 (one pwritev on
+    # each of the 8 disks); the stripe path reads and writes all 48 (one
+    # preadv and one pwritev per disk).
+    expected = {"delta": (72, 16), "rcw": (46, 15), "stripe": (96, 16)}
     for path, (chunk_ios, syscalls) in expected.items():
         writes = results[path]["writes"]
         assert results[path]["chunk_ios"] == chunk_ios * writes, path

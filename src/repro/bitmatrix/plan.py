@@ -263,22 +263,25 @@ class CompiledPlan:
             program += [base[sbuf] + sidx for sbuf, sidx in sources]
         return np.array(program, dtype=np.int32)
 
-    def _table(self, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        """The kernel's table for grids of ``shape`` and its address,
-        built once per shape: program length, row counts, stripe count,
-        stride and width, tile, then each input and output row's byte
-        offset in the grid (see ``xor_kernel.c``)."""
-        table = self._tables.get(shape)
+    def _table(
+        self, shape: tuple[int, ...], strides: tuple[int, ...]
+    ) -> tuple[np.ndarray, int]:
+        """The kernel's table for grids of ``shape`` and ``strides`` and
+        its address, built once per geometry: program length, row
+        counts, stripe count, stride and width, tile, then each input
+        and output row's byte offset in the grid (see
+        ``xor_kernel.c``)."""
+        key = shape + strides
+        table = self._tables.get(key)
         if table is not None:
             return table
         if len(shape) == 3:
             rows, cols, width = shape
             count, stride = 1, 0
-            col_bytes, row_bytes = width, cols * width
+            row_bytes, col_bytes = strides[:2]
         else:
             cols, count, rows, width = shape
-            stride = rows * width
-            col_bytes, row_bytes = count * stride, width
+            col_bytes, stride, row_bytes = strides[:3]
         for row, col in self.in_cells + self.out_cells:
             if not (0 <= row < rows and 0 <= col < cols):
                 raise ValueError(f"cell ({row},{col}) outside grid {shape}")
@@ -296,7 +299,7 @@ class CompiledPlan:
         table = (array, array.ctypes.data)
         if len(self._tables) >= _MAX_TABLES:
             self._tables.clear()
-        self._tables[shape] = table
+        self._tables[key] = table
         return table
 
     def run(self, grid: np.ndarray) -> None:
@@ -304,9 +307,11 @@ class CompiledPlan:
         input cells, overwrite the output cells.
 
         ``grid`` is a ``uint8`` 3-D grid or 4-D disk-order batch (see
-        :func:`cell_view`). One call of the fused C kernel does the
-        work, with the GIL released. Without the kernel, or for a grid
-        that is not C-contiguous and writeable, :meth:`run_numpy` does.
+        :func:`cell_view`), or a view of one, such as some stripes of a
+        batch. One call of the fused C kernel does the work, with the
+        GIL released. Without the kernel, or for a grid that is not
+        writeable or whose chunks are not contiguous, :meth:`run_numpy`
+        does.
         """
         if (
             not isinstance(grid, np.ndarray)
@@ -316,11 +321,12 @@ class CompiledPlan:
             raise ValueError("grid must be a 3-D or 4-D uint8 array")
         function = kernel.XOR_PLAN
         if function is None or not (
-            grid.flags.c_contiguous and grid.flags.writeable
+            grid.flags.writeable and min(grid.strides) >= 0
+            and grid.strides[-1] == 1
         ):
             self.run_numpy(grid)
             return
-        _, table = self._table(grid.shape)
+        _, table = self._table(grid.shape, grid.strides)
         if function(self._program_address, table, grid.ctypes.data):
             raise MemoryError("XOR kernel could not allocate its workspace")
 
@@ -366,6 +372,6 @@ class CompiledPlan:
         )
 
 
-#: Grid shapes whose kernel tables one plan keeps; a plan run over more
-#: distinct shapes starts its table cache afresh.
+#: Grid geometries whose kernel tables one plan keeps; a plan run over
+#: more distinct geometries starts its table cache afresh.
 _MAX_TABLES = 32

@@ -54,26 +54,27 @@ chunk I/Os one-for-one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.analysis.write_path import choose_strategy, rcw_cost, rmw_cost
 from repro.codes.base import ArrayCode, Cell, Position
-from repro.raid.mapping import ArrayMapping, ChunkRun
+from repro.raid.mapping import WIDE_WRITE_STRIPES, ArrayMapping, ChunkRun
 from repro.traces.model import TraceRequest
 
 __all__ = [
     "WRITE_STRATEGIES",
-    "BatchGroup",
     "BatchItem",
+    "BatchPass",
     "BatchPlan",
-    "DiskSpan",
     "ElementIO",
+    "PassLayout",
     "PlanCounts",
     "RequestPlan",
     "RequestPlanner",
     "RunPlan",
-    "coalesce_chunks",
     "plan_io_counters",
 ]
 
@@ -109,6 +110,35 @@ class RequestPlan:
         return len(self.reads) + len(self.writes)
 
 
+#: A span of a pass: ``(disk, lba, grid_row, chunks, data, parity)``.
+#: ``lba`` counts chunks from the pass's first stripe; ``grid_row`` is
+#: where the span starts in the disk's rows of the pass grid; ``data``
+#: and ``parity`` are the planned chunks it moves, by role, which is
+#: what the store meters (bridged chunks are not planned).
+PassSpan = tuple[int, int, int, int, int, int]
+
+
+@dataclass(frozen=True)
+class PassLayout:
+    """Where a pass's steps sit in its grid, and the spans it moves.
+
+    A pass executes over one disk-order grid of shape ``(cols,
+    stripes, rows, chunk)`` that holds, in ascending order, every
+    stripe its spans touch. ``slots`` gives each step's first grid
+    stripe. ``read_spans`` are read into the grid before the first
+    step runs, ``write_spans`` written from it after the last.
+    ``counts`` totals the spans' planned chunks: the sum of the steps'
+    run plan counts. The layout depends only on the steps' run plans
+    and their stripes relative to the first, so the planner caches it.
+    """
+
+    stripes: int
+    slots: tuple[int, ...]
+    read_spans: tuple[PassSpan, ...]
+    write_spans: tuple[PassSpan, ...]
+    counts: tuple[int, int, int, int]
+
+
 @dataclass(frozen=True)
 class RunPlan:
     """Executable plan for one per-stripe run (positions, not LBAs).
@@ -122,6 +152,21 @@ class RunPlan:
     (data reads, parity reads, data writes, parity writes) — fixed when
     the planner builds it, so executing or pricing a plan meters it
     without looking at its cells.
+
+    The rest is how the store executes the plan, filled in once for
+    each plan the planner hands out. ``layout`` is the plan run alone
+    as a one-stripe pass (:class:`PassLayout`): per disk, one read span
+    and one write span over its planned cells, merged across gaps of at
+    most the planner's ``bridge`` rows. A delta plan also reads the rows
+    its write spans bridge, so they go back unchanged; a re-encoding
+    plan rewrites them from its encode. ``write_runs`` are the planned
+    written cells in runs of adjacent rows, ``(col, first_row,
+    stop_row, data, parity)``: a delta plan journals one record per
+    run. ``fold`` is a delta plan's parity update: the dependent
+    parities' rows and columns, then layers ``(targets, sources)``:
+    layer ``k`` XORs the delta of data chunk ``sources[i]`` (an index
+    into the run) into parity ``targets[i]``, each parity's ``k``-th
+    source, so no layer names a parity twice.
     """
 
     path: str
@@ -129,11 +174,22 @@ class RunPlan:
     writes: tuple[Position, ...]
     decode: bool = False
     counts: tuple[int, int, int, int] = (0, 0, 0, 0)
+    layout: "PassLayout | None" = field(default=None, compare=False, repr=False)
+    write_runs: tuple[tuple[int, int, int, int, int], ...] = ()
+    fold: "tuple[np.ndarray, np.ndarray, tuple] | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def total_ios(self) -> int:
         """Chunk I/Os this run plan performs."""
         return len(self.reads) + len(self.writes)
+
+    @property
+    def reencodes(self) -> bool:
+        """True for writes that re-encode their stripes (everything but
+        delta): the encode rewrites every row of those stripes."""
+        return bool(self.writes) and self.path != "delta"
 
 
 @dataclass(frozen=True)
@@ -176,120 +232,122 @@ def plan_io_counters(code: ArrayCode, plan: RequestPlan) -> PlanCounts:
     return PlanCounts(*counts)
 
 
-@dataclass(frozen=True)
-class DiskSpan:
-    """A contiguous chunk range on one disk (the scatter-gather unit).
-
-    One span becomes one ``preadv``/``pwritev`` against the disk's
-    backing file; ``chunks`` counts stripe units, so byte geometry is
-    ``offset = lba_chunk * chunk_bytes`` / ``length = chunks *
-    chunk_bytes``.
-    """
-
-    disk: int
-    lba_chunk: int
-    chunks: int
-
-    @property
-    def stop(self) -> int:
-        """One past the last covered LBA chunk."""
-        return self.lba_chunk + self.chunks
-
-    def lbas(self) -> range:
-        """The covered LBA chunks, ascending."""
-        return range(self.lba_chunk, self.stop)
-
-
-@dataclass(frozen=True)
+@dataclass
 class BatchItem:
-    """One per-stripe run of one batched request, with its run plan.
+    """One step of a pass: a per-stripe run of one request, with its
+    run plan.
 
-    ``cursor`` is the byte offset into the request payload where this
-    run's bytes begin — batch execution splices runs exactly where the
-    serial path would.
+    The run covers data chunks ``[start, start + length)`` of stripe
+    ``stripe``, and ``chunk`` is the index of its first chunk among the
+    chunks its request touches. ``count`` is the stripes the step
+    covers: more than one only for a wide write, whose run is the first
+    of ``count`` aligned whole stripes. Its bytes follow from the
+    request's (:meth:`bytes_of`), so one step serves every request of
+    the same chunk shape.
     """
 
     op_index: int
-    run: ChunkRun
+    stripe: int
+    start: int
+    length: int
+    chunk: int
     plan: RunPlan
-    cursor: int
     is_write: bool
+    count: int = 1
+
+    def bytes_of(
+        self, offset: int, length: int, chunk_bytes: int
+    ) -> tuple[int, int, int]:
+        """``(cursor, skip, nbytes)`` of this step in a request of
+        ``length`` bytes at ``offset``: where its bytes begin in the
+        payload, how far into its first chunk, and how many there are."""
+        lead = offset % chunk_bytes
+        low = self.chunk * chunk_bytes
+        begin = max(lead, low)
+        end = min(lead + length, low + self.length * self.count * chunk_bytes)
+        return begin - lead, begin - low, end - begin
 
 
 @dataclass
-class BatchGroup:
-    """All runs of a batch that land on one stripe, in arrival order.
-
-    ``batchable`` marks groups whose every run takes the delta fast
-    path or reconstruct-write; a group holding any stripe-path or
-    decoding run is executed by the serial per-run machinery instead
-    (it meters itself and is excluded from the batch spans and
-    ``BatchPlan.counts``).
-    """
+class BatchPass:
+    """One pass: steps in arrival order, from first stripe ``stripe``."""
 
     stripe: int
     items: list[BatchItem]
-    batchable: bool = True
+    layout: PassLayout
 
 
 @dataclass
 class BatchPlan:
-    """Merged execution plan for a batch of byte-addressed requests.
+    """Execution plan for a batch of byte-addressed requests: passes.
 
-    ``read_spans``/``write_spans`` are the deduplicated, gap-bridged
-    per-disk span lists covering every *batchable* group; ``counts`` is
-    the logical chunk accounting those groups must meter — the per-item
-    sum of their run plans, NOT the span footprint, so ``IoCounters``
-    stay byte-for-byte identical to replaying the requests serially
-    (the paper's 1+3 accounting contract). Fallback groups are left out
-    of both: the serial machinery that executes them meters them.
+    Every per-stripe run of every request is one step of one pass, in
+    arrival order. A pass reads each disk's spans once, runs its steps
+    in memory and writes each disk's spans once. ``counts`` is the
+    logical chunk accounting, the sum of the steps' run plans and NOT
+    the span footprint, so ``IoCounters`` are byte-for-byte those of
+    replaying the requests one by one (the paper's 1+3 accounting).
     """
 
-    groups: list[BatchGroup]
-    read_spans: list[DiskSpan]
-    write_spans: list[DiskSpan]
-    counts: PlanCounts
+    passes: list[BatchPass]
+    #: The stripe the passes' and their runs' stripe numbers count from.
+    base: int = 0
 
     @property
-    def batchable_groups(self) -> list[BatchGroup]:
-        """Groups the span path executes."""
-        return [group for group in self.groups if group.batchable]
+    def counts(self) -> PlanCounts:
+        """Planned chunk I/Os of every pass, split by role."""
+        return PlanCounts(*map(sum, zip((0, 0, 0, 0), *(
+            step.layout.counts for step in self.passes
+        ))))
 
     @property
-    def fallback_groups(self) -> list[BatchGroup]:
-        """Groups deferred to the serial per-run machinery."""
-        return [group for group in self.groups if not group.batchable]
+    def span_ios(self) -> int:
+        """Span I/Os the passes issue: one syscall each unless a
+        transfer comes up short."""
+        return sum(
+            len(step.layout.read_spans) + len(step.layout.write_spans)
+            for step in self.passes
+        )
 
 
-def coalesce_chunks(
-    chunks: Iterable[tuple[int, int]], bridge: int = 0
-) -> list[DiskSpan]:
-    """Merge ``(disk, lba_chunk)`` addresses into per-disk spans.
-
-    Adjacent chunks always merge; ``bridge`` additionally merges spans
-    separated by at most that many *uncovered* chunks, trading extra
-    bytes moved for fewer syscalls (a gap chunk costs a memory-speed
-    copy, a separate span costs a syscall). Callers bridging **write**
-    spans must read the bridged gaps in the same batch and write them
-    back unchanged — see ``ArrayStore.execute_batch``.
-    """
-    if bridge < 0:
-        raise ValueError("bridge must be >= 0")
-    spans: list[DiskSpan] = []
-    by_disk: dict[int, list[int]] = {}
-    for disk, lba in set(chunks):
-        by_disk.setdefault(disk, []).append(lba)
-    for disk in sorted(by_disk):
-        lbas = sorted(by_disk[disk])
-        start = prev = lbas[0]
-        for lba in lbas[1:]:
-            if lba - prev - 1 <= bridge:
-                prev = lba
+def _merge_spans(
+    spans: dict[int, list[tuple[int, int, int, int]]], bridge: int
+) -> list[tuple[int, int, int, int, int]]:
+    """Merge each disk's ``(first, stop, data, parity)`` ranges into
+    spans ``(disk, first, stop, data, parity)``, also across gaps of at
+    most ``bridge`` uncovered rows, summing the ranges' planned data
+    and parity chunks: a bridged gap moves bytes at memory speed where
+    a separate span costs a syscall."""
+    merged = []
+    for disk in sorted(spans):
+        ranges = sorted(spans[disk])
+        first, stop, data, parity = ranges[0]
+        for lo, hi, more_data, more_parity in ranges[1:]:
+            if lo - stop <= bridge:
+                stop = max(stop, hi)
+                data += more_data
+                parity += more_parity
                 continue
-            spans.append(DiskSpan(disk, start, prev - start + 1))
-            start = prev = lba
-        spans.append(DiskSpan(disk, start, prev - start + 1))
-    return spans
+            merged.append((disk, first, stop, data, parity))
+            first, stop, data, parity = lo, hi, more_data, more_parity
+        merged.append((disk, first, stop, data, parity))
+    return merged
+
+
+def _place(spans: list[tuple[int, int, int, int, int]]) -> tuple[PassSpan, ...]:
+    """Merged spans ``(disk, first, stop, data, parity)`` of one stripe
+    as the pass spans of a one-stripe grid."""
+    return tuple(
+        (col, first, first, stop - first, data, parity)
+        for col, first, stop, data, parity in spans
+    )
+
+
+#: Layouts of passes other than a lone one-stripe step, and lone
+#: requests' passes, the planner keeps before starting either cache
+#: afresh.
+_MAX_LAYOUTS = 1024
+_MAX_REQUESTS = 256
 
 
 class RequestPlanner:
@@ -306,6 +364,17 @@ class RequestPlanner:
             its LRU/dirty state exactly as the real cache's would — so
             one planner instance must see the same request sequence, in
             order, as the cached store it predicts.
+        bridge: gap-bridging distance, in chunks, of the spans run plans
+            and passes move (see :attr:`RunPlan.layout`); 0 merges
+            adjacent chunks only.
+        step_spans: plan each step as a pass of its own that moves the
+            step's I/O units unmerged: one span per chunk of a delta or
+            plain read run, one span per disk for a run that re-encodes
+            or decodes stripes (``bridge`` is then unused). A fault plan
+            counts span I/Os (``at_op``) and draws per chunk accessed,
+            so a store under one plans this way: a fault schedule then
+            meets the same span I/Os at the same requests whatever else
+            the batch or request holds.
     """
 
     def __init__(
@@ -314,18 +383,27 @@ class RequestPlanner:
         chunk_bytes: int = 8 * 1024,
         write_strategy: str = "rmw",
         cache_stripes: int = 8,
+        bridge: int = 0,
+        step_spans: bool = False,
     ) -> None:
         if write_strategy not in WRITE_STRATEGIES:
             raise ValueError(
                 f"write_strategy must be one of {WRITE_STRATEGIES}, "
                 f"got {write_strategy!r}"
             )
+        if bridge < 0:
+            raise ValueError("bridge must be >= 0")
         self.code = code
         self.mapping = ArrayMapping(code, chunk_bytes)
         self.chunk_bytes = chunk_bytes
         self.write_strategy = write_strategy
+        self.bridge = bridge
+        self.step_spans = step_spans
+        #: Run plans, interned for the planner's lifetime: pass layouts
+        #: are cached by their plans' ids.
         self._run_plans: dict[tuple, RunPlan] = {}
-        self._cell_cache: dict[int, tuple] = {}
+        self._layouts: dict[tuple, PassLayout] = {}
+        self._requests: dict[tuple, list[BatchPass]] = {}
         self.shadow_cache = None
         if write_strategy == "cached":
             # Deferred import: cache.py layers on this module.
@@ -358,7 +436,9 @@ class RequestPlanner:
         key = (start, length, failed_key, bool(partial))
         plan = self._run_plans.get(key)
         if plan is None:
-            plan = self._build_write_run(start, length, failed_key, partial)
+            plan = self._executable(
+                self._build_write_run(start, length, failed_key, partial)
+            )
             self._run_plans[key] = plan
         return plan
 
@@ -403,6 +483,29 @@ class RequestPlanner:
             plan = self._run_plans[key] = self._plan("delta", cells, cells)
         return plan
 
+    def _fold(
+        self, data: tuple[Position, ...], parities: tuple[Position, ...]
+    ) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """A delta run's parity update (see :attr:`RunPlan.fold`)."""
+        dependents = self.code.parity_dependents
+        sources = [
+            [i for i, pos in enumerate(data) if parity in dependents[pos]]
+            for parity in parities
+        ]
+        layers = []
+        for depth in range(max(map(len, sources), default=0)):
+            targets = [j for j, found in enumerate(sources) if len(found) > depth]
+            layers.append((
+                slice(None) if len(targets) == len(parities)
+                else np.array(targets, dtype=np.intp),
+                np.array([sources[j][depth] for j in targets], dtype=np.intp),
+            ))
+        rows, cols = (
+            np.array([pos[axis] for pos in parities], dtype=np.intp)
+            for axis in (0, 1)
+        )
+        return rows, cols, tuple(layers)
+
     def _rcw_plan(self, start: int, length: int, partial: bool) -> RunPlan:
         """Reconstruct-write: read every data cell the run does not
         overwrite whole, write the run's cells and their dependents.
@@ -445,6 +548,54 @@ class RequestPlanner:
         )
         return RunPlan(path, reads, writes, decode=decode, counts=counts)
 
+    def _executable(self, plan: RunPlan) -> RunPlan:
+        """``plan`` with the one-stripe layout, journal runs and, for a
+        delta write, the parity fold the store executes it by (see
+        :class:`RunPlan`). Built once for each plan the planner hands
+        out, not for the candidates a write run is priced against."""
+        roles = self.code.roles
+        bridge = self._span_bridge(plan.path)
+
+        def ranges(cells: tuple[Position, ...]) -> dict[int, list]:
+            by_disk: dict[int, list] = {}
+            for row, col in cells:
+                role = roles[(row, col)]
+                by_disk.setdefault(col, []).append((row, row + 1, 1 - role, role))
+            return by_disk
+
+        write_ranges = ranges(plan.writes)
+        write_spans = _merge_spans(write_ranges, bridge)
+        read_ranges = ranges(plan.reads)
+        fold = None
+        if plan.path == "delta" and plan.writes:
+            # Bridged write rows go back as read.
+            for col, first, stop, _, _ in write_spans:
+                read_ranges.setdefault(col, []).append((first, stop, 0, 0))
+            fold = self._fold(
+                tuple(pos for pos in plan.writes if not roles[pos]),
+                tuple(pos for pos in plan.writes if roles[pos]),
+            )
+        layout = PassLayout(
+            stripes=1,
+            slots=(0,),
+            read_spans=_place(_merge_spans(read_ranges, bridge)),
+            write_spans=_place(write_spans),
+            counts=plan.counts,
+        )
+        return RunPlan(
+            plan.path, plan.reads, plan.writes, decode=plan.decode,
+            counts=plan.counts, layout=layout,
+            write_runs=tuple(_merge_spans(write_ranges, 0)), fold=fold,
+        )
+
+    def _span_bridge(self, path: str) -> int:
+        """Gap-bridging distance of ``path``'s spans: ``bridge``, or
+        with ``step_spans`` none at all for delta and plain reads (-1
+        keeps adjacent chunks apart) and the whole stripe otherwise."""
+        if not self.step_spans:
+            return self.bridge
+        return -1 if path == "delta" else self.code.rows
+
     def plan_read_run(
         self,
         start: int,
@@ -472,117 +623,194 @@ class RequestPlanner:
             )
         else:
             plan = self._plan("delta", covered, ())
-        self._run_plans[key] = plan
+        plan = self._run_plans[key] = self._executable(plan)
         return plan
 
     # ------------------------------------------------------------------
-    # batch planning (cross-request span merging)
+    # batch planning: passes over per-disk spans
     # ------------------------------------------------------------------
     def plan_batch(
         self,
         ops: Sequence[tuple[bool, int, int]],
         failed: tuple[int, ...] = (),
-        bridge: int = 0,
     ) -> BatchPlan:
-        """Merge a batch of ``(is_write, offset, length)`` requests.
+        """Plan a batch of ``(is_write, offset, length)`` requests as
+        passes.
 
-        Each request is split into per-stripe runs and planned exactly
-        as the serial path plans it (same cached :class:`RunPlan`
-        objects), then the runs are grouped by stripe in arrival order.
-        Groups where every run takes the delta fast path or
-        reconstruct-write are *batchable* and contribute to the merged
-        span lists:
+        Each request is split into per-stripe runs and each run planned
+        exactly as :meth:`plan_write_run` / :meth:`plan_read_run` plan
+        it; a write's aligned whole stripes form one wide-write step of
+        up to :data:`~repro.raid.mapping.WIDE_WRITE_STRIPES`. Steps join
+        the current pass in arrival order. A pass ends before a step
+        that would take one request's stripes in it past
+        ``WIDE_WRITE_STRIPES``, which bounds the buffers of a large
+        request, and a wide write is a pass of its own: it reads
+        nothing, and its grid is exactly its stripes. A batch of small
+        requests is one pass. With ``step_spans`` every step is a pass
+        of its own.
 
-        * **write spans** — the union of the groups' planned write
-          positions, coalesced per disk with gap bridging ``bridge``;
-        * **read spans** — the union of their planned pre-reads *plus
-          every chunk a write span covers* (bridged write gaps must be
-          in memory to be written back unchanged), coalesced the same
-          way.
-
-        Any group holding a stripe-path or decoding run — and every
-        group when the array is degraded, since ``failed`` forces the
-        stripe path — is flagged non-batchable for the caller's serial
-        fallback.
+        A lone request's passes depend only on its chunk shape (see
+        :meth:`_shape`), so they are planned once from stripe 0 and
+        cached; the plan's ``base`` places them.
         """
         failed_key = tuple(sorted(set(failed)))
-        groups: dict[int, BatchGroup] = {}
-        ordered: list[BatchGroup] = []
-        for op_index, (is_write, offset, length) in enumerate(ops):
-            cursor = 0
-            for run in self.mapping.byte_runs(offset, length):
-                if is_write:
-                    plan = self.plan_write_run(
-                        run.start,
-                        run.length,
-                        failed_key,
-                        partial=run.is_partial(self.chunk_bytes),
-                    )
-                else:
-                    plan = self.plan_read_run(
-                        run.start, run.length, failed_key
-                    )
-                group = groups.get(run.stripe)
-                if group is None:
-                    group = groups[run.stripe] = BatchGroup(run.stripe, [])
-                    ordered.append(group)
-                group.items.append(
-                    BatchItem(op_index, run, plan, cursor, is_write)
-                )
-                if plan.path == "stripe" or plan.decode:
-                    group.batchable = False
-                cursor += run.nbytes
-        counts = [0, 0, 0, 0]
-        read_chunks: set[tuple[int, int]] = set()
-        write_chunks: set[tuple[int, int]] = set()
-        rows = self.code.rows
-        for group in ordered:
-            if not group.batchable:
-                continue
-            base = group.stripe * rows
-            for item in group.items:
-                _, reads_rel, writes_rel = self._plan_cells(item.plan)
-                for col, row in reads_rel:
-                    read_chunks.add((col, base + row))
-                for col, row in writes_rel:
-                    write_chunks.add((col, base + row))
-                plan_counts = item.plan.counts
-                counts[0] += plan_counts[0]
-                counts[1] += plan_counts[1]
-                counts[2] += plan_counts[2]
-                counts[3] += plan_counts[3]
-        write_spans = coalesce_chunks(write_chunks, bridge)
-        for span in write_spans:
-            for lba in span.lbas():
-                read_chunks.add((span.disk, lba))
-        return BatchPlan(
-            groups=ordered,
-            read_spans=coalesce_chunks(read_chunks, bridge),
-            write_spans=write_spans,
-            counts=PlanCounts(counts[0], counts[1], counts[2], counts[3]),
-        )
-
-    def _plan_cells(self, plan: RunPlan) -> tuple:
-        """Stripe-relative ``(disk, row)`` cells of a plan.
-
-        ``plan_batch`` touches every element of every item; going through
-        ``element_address`` per element dominated batch planning (a
-        dataclass construction each). Run plans are interned in
-        ``_run_plans`` for the planner's lifetime, so the flattened form
-        is computed once per distinct plan. The cached tuple keeps the
-        plan itself as its first field, which both pins the plan alive
-        (making the ``id()`` key collision-free) and lets the lookup
-        verify identity.
-        """
-        cached = self._cell_cache.get(id(plan))
-        if cached is None or cached[0] is not plan:
-            cached = (
-                plan,
-                tuple((pos[1], pos[0]) for pos in plan.reads),
-                tuple((pos[1], pos[0]) for pos in plan.writes),
+        if len(ops) != 1:
+            return BatchPlan(
+                self._passes([self._shape(*op) for op in ops], failed_key)
             )
-            self._cell_cache[id(plan)] = cached
-        return cached
+        shape, base = self._shape(*ops[0])
+        key = shape + (failed_key,)
+        passes = self._requests.get(key)
+        if passes is None:
+            if len(self._requests) >= _MAX_REQUESTS:
+                self._requests.clear()
+            passes = self._requests[key] = self._passes([(shape, 0)], failed_key)
+        return BatchPlan(passes, base)
+
+    def _shape(
+        self, is_write: bool, offset: int, length: int
+    ) -> tuple[tuple[bool, int, int, bool, bool], int]:
+        """A request's chunk shape and first stripe.
+
+        The shape is ``(is_write, first, chunks, head, tail)``: the
+        request touches ``chunks`` chunks from chunk ``first`` of its
+        first stripe, and a write covers its first (``head``) or last
+        (``tail``) chunk only partly. Every request of one shape plans
+        alike; a read's plan does not depend on partial chunks.
+        """
+        chunk_bytes = self.chunk_bytes
+        first, end = offset // chunk_bytes, offset + length
+        chunks = (end - 1) // chunk_bytes - first + 1 if length > 0 else 0
+        stripe, first = divmod(first, self.code.num_data)
+        head = is_write and offset % chunk_bytes != 0
+        tail = is_write and end % chunk_bytes != 0
+        return (is_write, first, chunks, head, tail), stripe
+
+    def _passes(
+        self,
+        shapes: Sequence[tuple[tuple[bool, int, int, bool, bool], int]],
+        failed_key: tuple[int, ...],
+    ) -> list[BatchPass]:
+        """The passes of requests given by :meth:`_shape` (see
+        :meth:`plan_batch`)."""
+        num_data = self.code.num_data
+        passes: list[BatchPass] = []
+        items: list[BatchItem] = []
+        for op_index, ((is_write, first, chunks, head, tail), stripe) in (
+            enumerate(shapes)
+        ):
+            taken = done = 0
+            while done < chunks:
+                start = first if done == 0 else 0
+                length = min(num_data - start, chunks - done)
+                count, wide = 1, False
+                if is_write:
+                    last = done + length == chunks
+                    plan = self.plan_write_run(
+                        start, length, failed_key,
+                        partial=(done == 0 and head) or (last and tail),
+                    )
+                    wide = plan.path == "stripe" and not plan.reads
+                    if wide:
+                        # A partly written last chunk is not whole.
+                        whole = (chunks - done - int(tail)) // num_data
+                        count = min(WIDE_WRITE_STRIPES, whole)
+                else:
+                    plan = self.plan_read_run(start, length, failed_key)
+                if items and (wide or taken + count > WIDE_WRITE_STRIPES):
+                    passes.append(self._pass(items))
+                    items, taken = [], 0
+                items.append(BatchItem(
+                    op_index, stripe, start, length, done, plan, is_write, count
+                ))
+                taken += count
+                if wide or self.step_spans:
+                    passes.append(self._pass(items))
+                    items, taken = [], 0
+                done += count * length
+                stripe += count
+        if items:
+            passes.append(self._pass(items))
+        return passes
+
+    def _pass(self, items: list[BatchItem]) -> BatchPass:
+        """The pass of ``items``: a lone one-stripe step runs by its
+        plan's layout, any other pass by one from the cache."""
+        first = min(item.stripe for item in items)
+        if len(items) == 1 and items[0].count == 1:
+            return BatchPass(first, items, items[0].plan.layout)
+        steps = tuple(
+            (item.plan, item.stripe - first, item.count) for item in items
+        )
+        key = tuple((id(plan), offset, count) for plan, offset, count in steps)
+        layout = self._layouts.get(key)
+        if layout is None:
+            if len(self._layouts) >= _MAX_LAYOUTS:
+                self._layouts.clear()
+            layout = self._layouts[key] = self._layout(steps)
+        return BatchPass(first, items, layout)
+
+    def _layout(self, steps: tuple[tuple[RunPlan, int, int], ...]) -> PassLayout:
+        """Merge the steps' row spans into the pass's disk spans.
+
+        ``steps`` holds each step's plan, first stripe (relative to the
+        pass's first) and stripe count. Write spans merge the steps'
+        write spans. Read spans merge their read spans and, in every
+        stripe no step re-encodes, the rows of the write spans: a row
+        written back that no step writes must be read first.
+        """
+        rows = self.code.rows
+        reads: dict[int, list[tuple[int, int, int, int]]] = {}
+        writes: dict[int, list[tuple[int, int, int, int]]] = {}
+        reencoded: set[int] = set()
+        touched: set[int] = set()
+        for plan, first, count in steps:
+            stripes = range(first, first + count)
+            touched.update(stripes)
+            if plan.reencodes:
+                reencoded.update(stripes)
+            for stripe in stripes:
+                base = stripe * rows
+                for col, lo, _, chunks, data, parity in plan.layout.read_spans:
+                    reads.setdefault(col, []).append(
+                        (base + lo, base + lo + chunks, data, parity)
+                    )
+                for col, lo, _, chunks, data, parity in plan.layout.write_spans:
+                    writes.setdefault(col, []).append(
+                        (base + lo, base + lo + chunks, data, parity)
+                    )
+        bridge = self._span_bridge(steps[0][0].path)
+        write_spans = _merge_spans(writes, bridge)
+        for col, lo, hi, _, _ in write_spans:
+            for stripe in range(lo // rows, (hi - 1) // rows + 1):
+                if stripe not in reencoded:
+                    reads.setdefault(col, []).append(
+                        (max(lo, stripe * rows), min(hi, (stripe + 1) * rows), 0, 0)
+                    )
+        read_spans = _merge_spans(reads, bridge)
+        for _, lo, hi, _, _ in read_spans + write_spans:
+            touched.update(range(lo // rows, (hi - 1) // rows + 1))
+        slot = {stripe: i for i, stripe in enumerate(sorted(touched))}
+
+        def place(spans: list[tuple[int, ...]]) -> tuple[PassSpan, ...]:
+            return tuple(
+                (col, lo, slot[lo // rows] * rows + lo % rows, hi - lo, data, parity)
+                for col, lo, hi, data, parity in spans
+            )
+
+        def total(spans: list[tuple[int, ...]], role: int) -> int:
+            return sum(span[3 + role] for span in spans)
+
+        return PassLayout(
+            stripes=len(slot),
+            slots=tuple(slot[first] for _, first, _ in steps),
+            read_spans=place(read_spans),
+            write_spans=place(write_spans),
+            counts=(
+                total(read_spans, 0), total(read_spans, 1),
+                total(write_spans, 0), total(write_spans, 1),
+            ),
+        )
 
     # ------------------------------------------------------------------
     # request-level planning (byte-addressed, for pricing/validation)

@@ -61,9 +61,9 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Sequence
 import numpy as np
 
 from repro._util import as_bytes_array, check_byte_range
-from repro.codes.base import ArrayCode, Decoder, Position
-from repro.raid.mapping import WIDE_WRITE_STRIPES, ChunkRun
-from repro.raid.planner import BatchItem, RequestPlanner, RunPlan
+from repro.codes.base import ArrayCode, Decoder
+from repro.raid.mapping import WIDE_WRITE_STRIPES
+from repro.raid.planner import BatchItem, BatchPass, PassSpan, RequestPlanner
 from repro.store.journal import JournalRecord, MemoryJournal, WriteJournal
 from repro.store.metering import IoCounters, SyscallCounters
 
@@ -142,13 +142,15 @@ class ArrayStore:
         shard_id: this store's id inside a shared journal (and inside a
             :class:`~repro.volume.VolumeManager`); 0 for standalone
             stores.
-        span_bridge_chunks: gap-bridging distance (in chunks) for
-            :meth:`execute_batch` span coalescing — two planned chunk
+        span_bridge_chunks: gap-bridging distance (in chunks) of the
+            span I/O every request and batch runs — two planned chunk
             I/Os on one disk separated by at most this many uncovered
             chunks merge into one span, trading extra bytes moved at
             memory speed for one syscall saved. 0 coalesces strictly
             adjacent chunks only. Logical :class:`IoCounters` are
-            unaffected (bridged gaps are not metered).
+            unaffected (bridged gaps are not metered). Fixed for the
+            store's lifetime: the planner builds its run plans' spans
+            with it.
 
     Reopening a directory whose backing files don't match the requested
     geometry raises ``ValueError`` rather than destroying the contents.
@@ -200,10 +202,7 @@ class ArrayStore:
         #: Physical backing-file syscalls (orthogonal to the logical
         #: chunk counters above — see :class:`SyscallCounters`).
         self.syscalls = SyscallCounters()
-        #: Max uncovered chunks :meth:`execute_batch` bridges when
-        #: coalescing planned chunk I/Os into per-disk spans. A bridged
-        #: gap trades a memory-speed copy for a saved syscall; gap bytes
-        #: are pre-read in the same batch and written back unchanged.
+        #: Max uncovered chunks a span bridges (see the argument).
         self.span_bridge_chunks = span_bridge_chunks
         #: Stripe-runs served by the delta fast path / full-stripe path.
         self.fast_path_writes = 0
@@ -211,7 +210,8 @@ class ArrayStore:
         #: The shared RAID planning layer: address math + write-path
         #: selection, identical to the DiskSim controller's.
         self.planner = RequestPlanner(
-            code, chunk_bytes, write_strategy=_MODE_TO_STRATEGY[write_mode]
+            code, chunk_bytes, write_strategy=_MODE_TO_STRATEGY[write_mode],
+            bridge=span_bridge_chunks,
         )
         self.cache = None
         if cache_stripes:
@@ -246,6 +246,9 @@ class ArrayStore:
         self._write_watchers: list[set[int]] = []
         self.fault_plan: "FaultPlan | None" = None
         self._backend = None
+        #: The planner requests run by: :attr:`planner`, or under a
+        #: fault plan one with ``step_spans`` (see :meth:`set_fault_plan`).
+        self._pass_planner = self.planner
         if fault_plan is not None:
             self.set_fault_plan(fault_plan)
         #: Metering role per stored cell (0 data, 1 parity; EMPTY absent).
@@ -324,12 +327,22 @@ class ArrayStore:
 
         All subsequent span I/O flows through a
         :class:`~repro.faults.inject.FaultyDiskBackend` consulting the
-        plan; the raw backing files stay the source of truth.
+        plan; the raw backing files stay the source of truth. While a
+        plan is attached, requests are planned with ``step_spans`` (see
+        :class:`~repro.raid.planner.RequestPlanner`): no span merges
+        chunks across a gap, across steps or across a delta run's
+        cells, so the plan's per-disk op counts and per-chunk draws see
+        each run's own I/O units.
         """
         self.fault_plan = plan
         if plan is None:
             self._backend = None
+            self._pass_planner = self.planner
             return
+        self._pass_planner = RequestPlanner(
+            self.code, self.chunk_bytes,
+            write_strategy=self.planner.write_strategy, step_spans=True,
+        )
         from repro.faults.inject import FaultyDiskBackend
 
         self._backend = FaultyDiskBackend(
@@ -597,37 +610,6 @@ class ArrayStore:
         """
         return self._journal_always or self.fault_plan is not None
 
-    def _journal_entry(
-        self, stripe: int, pos: tuple[int, int], chunk: np.ndarray
-    ) -> None:
-        """Record one pending element write (no-op while not journaling)."""
-        if not self._journalling:
-            return
-        row, col = pos
-        role = self._roles[pos]
-        offset = (stripe * self.code.rows + row) * self.chunk_bytes
-        self.journal.log(
-            JournalRecord(
-                shard=self.shard_id, disk=col, offset=offset,
-                payload=chunk, meter=(1 - role, role),
-            )
-        )
-
-    def _journal_stripes(self, first: int, data: np.ndarray) -> None:
-        """Log and seal one data record: ``data`` is the logical data of
-        whole stripes from ``first``, journaled as is (no copy)."""
-        if self._journalling:
-            self.journal.log(
-                JournalRecord(
-                    shard=self.shard_id,
-                    disk=-1,
-                    offset=first * self.code.rows * self.chunk_bytes,
-                    payload=data,
-                    stripe_data=True,
-                )
-            )
-        self._seal_journal()
-
     def _seal_journal(self) -> None:
         """Durability barrier: journal-before-data. Must return before
         the run's first span write mutates the array."""
@@ -779,206 +761,24 @@ class ArrayStore:
             else:
                 self.cache.write(offset, buf)
                 return
-        self._execute_write(offset, buf)
-
-    def _execute_write(self, offset: int, buf: np.ndarray) -> None:
-        failed_key = tuple(sorted(self.failed))
-        mapping = self.planner.mapping
-        runs = mapping.byte_runs(offset, buf.size)
-        index = cursor = 0
-        while index < len(runs):
-            run = runs[index]
-            plan = self.planner.plan_write_run(
-                run.start,
-                run.length,
-                failed_key,
-                partial=run.is_partial(self.chunk_bytes),
-            )
-            count = 1
-            if plan.path == "stripe" and not plan.reads:
-                # An aligned whole-stripe overwrite takes the whole
-                # stripes after it along, as one wide write.
-                count = mapping.whole_stripes(run, buf.size - cursor)
-            nbytes = count * run.nbytes
-            self._write_run(run, buf[cursor : cursor + nbytes], plan)
-            index += count
-            cursor += nbytes
-
-    def _write_run(self, run: ChunkRun, payload: np.ndarray, plan: RunPlan) -> None:
-        """Execute one per-stripe write run by its plan, and meter it.
-
-        A whole-stripe overwrite's ``payload`` may go on over the
-        following whole stripes: :meth:`write_stripes` takes them all.
-        """
-        if plan.path == "delta":
-            self._delta_write_run(run, payload)
-            self.fast_path_writes += 1
-        elif plan.path == "rcw":
-            self._rcw_write_run(run, payload, plan)
-            self.slow_path_writes += 1
-        elif plan.reads:
-            self._stripe_write_run(run, payload, plan)
-            self.slow_path_writes += 1
-        else:
-            self.write_stripes(run.stripe, payload)  # meters itself
-            return
-        for watcher in self._write_watchers:
-            watcher.add(run.stripe)
-
-    def _splice(
-        self, run: ChunkRun, index: int, cursor: int, payload: np.ndarray,
-        old: np.ndarray | None,
-    ) -> tuple[np.ndarray, int]:
-        """New contents of the ``index``-th covered chunk of ``run``.
-
-        Full chunks come straight from the payload; a partial head/tail
-        splices the payload fragment onto ``old`` (the pre-read chunk).
-        Returns ``(new_chunk, bytes_consumed)``.
-        """
-        chunk = self.chunk_bytes
-        skip = run.skip if index == 0 else 0
-        take = min(chunk - skip, run.nbytes - cursor)
-        if skip == 0 and take == chunk:
-            return payload[cursor : cursor + chunk], chunk
-        assert old is not None
-        new = old.copy()
-        new[skip : skip + take] = payload[cursor : cursor + take]
-        return new, take
-
-    def _delta_write_run(self, run: ChunkRun, payload: np.ndarray) -> None:
-        """Delta RMW: read old data + dependent parities only, XOR the
-        data delta through each dependent chain, write back.
-
-        Two strict phases, matching the planner's read-then-write plan
-        shape: *every* pre-read (old data, then old parity) completes
-        before the first byte is mutated, so a read-side injected fault
-        (latent sector, fail-stop) surfaces while the stripe is still
-        untouched and the whole run can simply be retried after repair.
-        The write phase is journaled first (see
-        :meth:`complete_interrupted_write`), then lands data before
-        parity.
-        """
-        code = self.code
-        # -- read phase -------------------------------------------------
-        parity_deltas: dict[tuple[int, int], np.ndarray] = {}
-        new_data: list[tuple[tuple[int, int], np.ndarray]] = []
-        cursor = 0
-        for index in range(run.length):
-            pos = code.data_positions[run.start + index]
-            old = self._read_element(run.stripe, pos)
-            new, consumed = self._splice(run, index, cursor, payload, old)
-            cursor += consumed
-            delta = np.bitwise_xor(old, new)
-            new_data.append((pos, new))
-            for parity in code.parity_dependents[pos]:
-                acc = parity_deltas.get(parity)
-                if acc is None:
-                    # copy: the same delta buffer feeds several parities
-                    parity_deltas[parity] = delta.copy()
-                else:
-                    np.bitwise_xor(acc, delta, out=acc)
-        new_parity: list[tuple[tuple[int, int], np.ndarray]] = []
-        for parity in sorted(parity_deltas):
-            old = self._read_element(run.stripe, parity)
-            np.bitwise_xor(old, parity_deltas[parity], out=old)
-            new_parity.append((parity, old))
-        # -- write phase ------------------------------------------------
-        for pos, chunk in new_data + new_parity:
-            self._journal_entry(run.stripe, pos, chunk)
-        self._seal_journal()
-        for pos, chunk in new_data:
-            self._write_element(run.stripe, pos, chunk)
-        for pos, chunk in new_parity:
-            self._write_element(run.stripe, pos, chunk)
-        self._commit_journal()
-
-    def _splice_run(
-        self, run: ChunkRun, payload: np.ndarray, batch: np.ndarray
-    ) -> None:
-        """Splice ``payload`` over the run's chunks of a one-stripe
-        batch; partly covered chunks keep the batch's old bytes around
-        it."""
-        cursor = 0
-        for index in range(run.length):
-            row, col = self.code.data_positions[run.start + index]
-            new, consumed = self._splice(
-                run, index, cursor, payload, batch[col, 0, row]
-            )
-            cursor += consumed
-            batch[col, 0, row] = new
-
-    def _stripe_data(self, batch: np.ndarray) -> np.ndarray:
-        """The logical data of a one-stripe batch, in logical order."""
-        return batch[self._data_cols, 0, self._data_rows].reshape(-1)
-
-    def _rcw_write_run(
-        self, run: ChunkRun, payload: np.ndarray, plan: RunPlan
-    ) -> None:
-        """Reconstruct-write: read the data the run leaves, re-encode,
-        write the run's chunks and their dependent parities.
-
-        Each disk's planned reads land straight in a one-stripe batch
-        with one read over the rows from its first to its last read
-        cell, the payload is spliced in and one encode recomputes the
-        parity. The stripe's new logical data is journaled as one data
-        record, then each disk's planned writes go out as one write over
-        its rows from first to last written cell. Rows a span bridges
-        but the plan leaves out are either overwritten in the batch
-        before they are used, or written back with the bytes just read
-        or their re-encoded parity; only planned chunks are metered.
-        """
-        code, chunk = self.code, self.chunk_bytes
-        batch = np.zeros((code.cols, 1, code.rows, chunk), dtype=np.uint8)
-        base = run.stripe * code.rows
-        for col, rows in _column_rows(plan.reads):
-            self._read_span_into(
-                col, (base + rows.start) * chunk, batch[col, 0, rows]
-            )
-        data_read, parity_read, data_written, parity_written = plan.counts
-        self._count(data_read, parity_read, wrote=False)
-        self._splice_run(run, payload, batch)
-        code.encode(batch)
-        self._journal_stripes(run.stripe, self._stripe_data(batch))
-        for col, rows in _column_rows(plan.writes):
-            self._write_span(
-                col, (base + rows.start) * chunk, batch[col, 0, rows]
-            )
-        self._count(data_written, parity_written, wrote=True)
-        self._commit_journal()
-
-    def _stripe_write_run(
-        self, run: ChunkRun, payload: np.ndarray, plan: RunPlan
-    ) -> None:
-        """Full-stripe path: load, (reconstruct,) splice, re-encode, store.
-
-        Aligned whole-stripe overwrites need nothing old and take
-        :meth:`write_stripes` instead.
-        """
-        batch = self._load_stripe(run.stripe)
-        if plan.decode:
-            # Degraded write: reconstruct the stripe before updating
-            # so parity recomputation sees correct data.
-            self._current_decoder().decode_columns(batch)
-        self._splice_run(run, payload, batch)
-        self.code.encode(batch)
-        self._store_stripes(run.stripe, batch, self._stripe_data(batch))
+        self._execute([(True, offset, buf)])
 
     def write_stripes(self, stripe: int, payload: np.ndarray) -> None:
         """Overwrite whole consecutive stripes from ``stripe`` (wide write).
 
         ``payload`` holds the logical data of at most
         :data:`~repro.raid.mapping.WIDE_WRITE_STRIPES` stripes. Every
-        data element is replaced, so nothing is read: the stripes are
-        laid into one disk-order batch, encoded by one
-        :meth:`ArrayCode.encode` call and stored by
-        :meth:`_store_stripes`. Meters exactly what
-        as many single-stripe runs meter: chunk counters,
-        ``slow_path_writes`` and watched stripes. This is also the
+        data element is replaced, so nothing is read: the request runs
+        as one pass whose step lays the stripes into its grid, encodes
+        them with one :meth:`ArrayCode.encode` call and writes each
+        surviving disk's span with one write. Meters exactly what as
+        many single-stripe runs meter: chunk counters,
+        ``slow_path_writes`` and watched stripes. This is the
         write-back cache's full-stripe bypass (a
         :class:`~repro.raid.cache.CacheBackend` method).
         """
-        code, chunk = self.code, self.chunk_bytes
-        count, rest = divmod(payload.size, code.num_data * chunk)
+        stripe_bytes = self.code.num_data * self.chunk_bytes
+        count, rest = divmod(payload.size, stripe_bytes)
         if (
             rest
             or not 0 < count <= WIDE_WRITE_STRIPES
@@ -988,11 +788,15 @@ class ArrayStore:
                 f"payload must hold 1..{WIDE_WRITE_STRIPES} whole stripes "
                 f"inside the store"
             )
-        payload = payload.reshape(-1)
-        self._store_stripes(stripe, self._encode_stripes(payload), payload)
-        self.slow_path_writes += count
-        for watcher in self._write_watchers:
-            watcher.update(range(stripe, stripe + count))
+        self._execute([(True, stripe * stripe_bytes, payload.reshape(-1))])
+
+    def _lay_stripes(self, batch: np.ndarray, data: np.ndarray) -> None:
+        """Lay the logical data of whole stripes into the data cells of
+        the disk-order batch ``batch`` (see :meth:`_load_stripe_batch`)."""
+        code = self.code
+        batch[self._data_cols, :, self._data_rows] = data.reshape(
+            batch.shape[1], code.num_data, self.chunk_bytes
+        ).transpose(1, 0, 2)
 
     def _encode_stripes(self, data: np.ndarray) -> np.ndarray:
         """Lay the logical data of whole stripes into one disk-order
@@ -1005,28 +809,11 @@ class ArrayStore:
         code, chunk = self.code, self.chunk_bytes
         count = data.size // (code.num_data * chunk)
         batch = np.empty((code.cols, count, code.rows, chunk), dtype=np.uint8)
-        batch[self._data_cols, :, self._data_rows] = data.reshape(
-            count, code.num_data, chunk
-        ).transpose(1, 0, 2)
+        self._lay_stripes(batch, data)
         if self._empty_rows.size:
             batch[self._empty_cols, :, self._empty_rows] = 0
         code.encode(batch)
         return batch
-
-    def _store_stripes(
-        self, first: int, batch: np.ndarray, data: np.ndarray
-    ) -> None:
-        """Journal ``data``, then write every surviving column of ``batch``.
-
-        ``batch`` holds consecutive stripes from ``first``, encoded from
-        ``data``, their logical data. The transaction is one data record
-        of ``data``, and :meth:`_write_columns` gives each surviving disk
-        one contiguous write.
-        """
-        self._journal_stripes(first, data)
-        survivors = [col for col in range(self.code.cols) if col not in self.failed]
-        self._write_columns(first, batch, survivors)
-        self._commit_journal()
 
     def read_chunks(self, start: int, count: int) -> np.ndarray:
         """Read ``count`` logical chunks from ``start`` (degraded-safe)."""
@@ -1052,46 +839,10 @@ class ArrayStore:
                 self.cache.drop()
             else:
                 return self.cache.read(offset, length)
-        return self._execute_read(offset, length)
-
-    def _execute_read(self, offset: int, length: int) -> np.ndarray:
-        out = np.empty(length, dtype=np.uint8)
-        failed_key = tuple(sorted(self.failed))
-        cursor = 0
-        for run in self.planner.mapping.byte_runs(offset, length):
-            plan = self.planner.plan_read_run(run.start, run.length, failed_key)
-            cursor += self._read_run_into(run, plan, out, cursor)
-        return out
-
-    def _read_run_into(
-        self, run: ChunkRun, plan: RunPlan, out: np.ndarray, base: int
-    ) -> int:
-        """Execute one read run into ``out`` at ``base``; returns bytes
-        produced (``run.nbytes``)."""
-        chunk = self.chunk_bytes
-        batch = None
-        if plan.decode:
-            # The run touches a failed column: read every survivor of
-            # the stripe and reconstruct on the fly.
-            batch = self._load_stripe(run.stripe)
-            self._current_decoder().decode_columns(batch)
-        consumed = 0
-        cursor = base
-        for index in range(run.length):
-            row, col = self.code.data_positions[run.start + index]
-            if batch is not None:
-                data = batch[col, 0, row]
-            else:
-                data = self._read_element(run.stripe, (row, col))
-            skip = run.skip if index == 0 else 0
-            take = min(chunk - skip, run.nbytes - consumed)
-            out[cursor : cursor + take] = data[skip : skip + take]
-            cursor += take
-            consumed += take
-        return consumed
+        return self._execute([(False, offset, length)])[0]
 
     # ------------------------------------------------------------------
-    # batched execution (cross-request span I/O)
+    # the plan executor: every request runs as passes over span grids
     # ------------------------------------------------------------------
     def execute_batch(
         self, ops: "Sequence[tuple[bool, int, object]]"
@@ -1103,26 +854,22 @@ class ArrayStore:
         their byte length. Returns one entry per op, in order — ``None``
         for writes, the read data for reads.
 
-        The batch is planned once (:meth:`RequestPlanner.plan_batch`):
-        per-stripe run groups where every run takes the delta fast path
-        or reconstruct-write execute through merged, gap-bridged
-        per-disk spans — one
-        ``preadv``/``pwritev`` per span instead of one ``pread``/
-        ``pwrite`` per chunk per request — with all delta folding done
-        in memory between the two span phases, one sealed journal
-        transaction covering the whole batch, and chunk
-        :class:`IoCounters` metered from the per-item run plans so the
-        logical accounting is byte-for-byte what replaying the ops
-        serially would meter (the paper's 1+3 contract; only
-        :attr:`syscalls` sees the coalescing). Degraded arrays, stores
-        with a fault plan attached, cached stores, stripe-path run
-        groups and single-op batches fall back to the serial machinery,
-        which is trivially equivalent.
+        The batch runs exactly like a single request (which is a batch
+        of one): planned once (:meth:`RequestPlanner.plan_batch`) into
+        passes that read each disk's merged, gap-bridged spans with one
+        ``preadv`` each, run every per-stripe run as one step in
+        arrival order, and write each disk's spans back with one
+        ``pwritev`` each, in one sealed journal transaction per pass.
+        Chunk :class:`IoCounters` are metered from the run plans, so the
+        logical accounting is byte-for-byte what replaying the ops one
+        by one meters (the paper's 1+3 contract); only :attr:`syscalls`
+        sees the coalescing. A cached store applies the ops one by one
+        through its cache.
 
-        Gap bridging writes back chunks *between* planned writes
-        (pre-read in the same batch, written back unchanged), and those
-        gap chunks can belong to stripes no op of the batch touches: one
-        more reason the store is single-caller.
+        Gap bridging writes back chunks *between* planned writes (read
+        in the same pass, or re-encoded, and written back unchanged),
+        and those gap chunks can belong to stripes no op of the batch
+        touches: one more reason the store is single-caller.
         """
         normalized: list[tuple[bool, int, np.ndarray | int]] = []
         for is_write, offset, payload in ops:
@@ -1141,226 +888,242 @@ class ArrayStore:
                 self.cache.drop()
             else:
                 return self.cache.apply_batch(normalized)
-        if self.failed or self._backend is not None or len(normalized) < 2:
-            return self._serial_batch(normalized)
-        return self._span_batch(normalized)
+        return self._execute(normalized)
 
-    def _serial_batch(
-        self, ops: list[tuple[bool, int, np.ndarray | int]]
+    def _execute(
+        self, ops: "list[tuple[bool, int, np.ndarray | int]]"
     ) -> list[np.ndarray | None]:
-        """Execute a batch op-by-op through the serial machinery."""
-        results: list[np.ndarray | None] = []
-        for is_write, offset, payload in ops:
-            if is_write:
-                self._execute_write(offset, payload)
-                results.append(None)
-            else:
-                results.append(self._execute_read(offset, payload))
-        return results
-
-    def _span_batch(
-        self, ops: list[tuple[bool, int, np.ndarray | int]]
-    ) -> list[np.ndarray | None]:
-        """The merged span path (healthy, uncached, unfaulted, ≥2 ops)."""
-        chunk = self.chunk_bytes
-        plan = self.planner.plan_batch(
+        """Plan validated ops and run their passes; returns the results."""
+        plan = self._pass_planner.plan_batch(
             [
                 (is_write, offset, payload.size if is_write else payload)
                 for is_write, offset, payload in ops
             ],
-            bridge=self.span_bridge_chunks,
+            tuple(sorted(self.failed)),
         )
         results: list[np.ndarray | None] = [
             None if is_write else np.empty(payload, dtype=np.uint8)
             for is_write, _, payload in ops
         ]
-        # Phase 1 — bulk pre-read: one vectored syscall per merged span.
-        # ``state`` maps (disk, lba_chunk) to a *view into the span
-        # buffer*; folding mutates the views in place, so later items in
-        # a group observe earlier items' writes exactly as serial
-        # execution order would — and write-back (phase 3) is a single
-        # contiguous slice of the already-updated buffer per span.
-        state: dict[tuple[int, int], np.ndarray] = {}
-        cover: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for span in plan.read_spans:
-            buf = np.empty(span.chunks * chunk, dtype=np.uint8)
-            self._read_span_into(span.disk, span.lba_chunk * chunk, buf)
-            cover.setdefault(span.disk, []).append((span.lba_chunk, buf))
-            for i, lba in enumerate(span.lbas()):
-                state[(span.disk, lba)] = buf[i * chunk : (i + 1) * chunk]
-        counts = plan.counts
-        if counts.chunks_read:
-            self._count(
-                counts.data_chunks_read,
-                counts.parity_chunks_read,
-                wrote=False,
-            )
-        # Phase 2 — fold every batchable group in memory, arrival order.
-        dirty: dict[tuple[int, int], np.ndarray] = {}
-        for group in plan.batchable_groups:
-            for item in group.items:
-                if item.is_write:
-                    buf = ops[item.op_index][2]
-                    if item.plan.path == "rcw":
-                        self._fold_rcw_item(group.stripe, item, buf, state, dirty)
-                        self.slow_path_writes += 1
-                    else:
-                        self._fold_write_item(group.stripe, item, buf, state, dirty)
-                        self.fast_path_writes += 1
-                    for watcher in self._write_watchers:
-                        watcher.add(group.stripe)
-                else:
-                    self._fill_read_item(
-                        group.stripe, item, state, results[item.op_index]
-                    )
-        # Phase 3 — journal-before-data (one sealed transaction for the
-        # whole batch), then one vectored write-back per merged span.
-        # Span gaps rewrite ``state`` contents that were never dirtied —
-        # byte-identical to what phase 1 read, see the class docstring.
-        journalled = self._journalling and bool(dirty)
-        if journalled:
-            rows = self.code.rows
-            for disk, lba in sorted(dirty):
-                self._journal_entry(
-                    lba // rows, (lba % rows, disk), dirty[(disk, lba)]
-                )
-            self._seal_journal()
-        # Every write span lies inside one read span (the planner
-        # expands read coverage over write-span gaps), so its bytes are
-        # one contiguous, already-folded slice of that span's buffer.
-        for span in plan.write_spans:
-            start, buf = next(
-                (start, buf)
-                for start, buf in cover[span.disk]
-                if start <= span.lba_chunk
-                and span.stop <= start + buf.size // chunk
-            )
-            self._raw_write_span(
-                span.disk,
-                span.lba_chunk * chunk,
-                buf[(span.lba_chunk - start) * chunk : (span.stop - start) * chunk],
-            )
-        if counts.chunks_written:
-            self._count(
-                counts.data_chunks_written,
-                counts.parity_chunks_written,
-                wrote=True,
-            )
-        if journalled:
-            self._commit_journal()
-        # Phase 4 — stripe-path / decoding groups: the serial per-run
-        # machinery (meters and journals itself, per run, as ever).
-        for group in plan.fallback_groups:
-            for item in group.items:
-                if item.is_write:
-                    buf = ops[item.op_index][2]
-                    payload = buf[item.cursor : item.cursor + item.run.nbytes]
-                    self._write_run(item.run, payload, item.plan)
-                else:
-                    self._read_run_into(
-                        item.run, item.plan,
-                        results[item.op_index], item.cursor,
-                    )
+        for step in plan.passes:
+            self._run_pass(step, plan.base, ops, results)
         return results
 
-    def _fold_write_item(
+    def _run_pass(
         self,
-        stripe: int,
-        item: BatchItem,
-        buf: np.ndarray,
-        state: dict[tuple[int, int], np.ndarray],
-        dirty: dict[tuple[int, int], np.ndarray],
+        step: BatchPass,
+        base: int,
+        ops: "list[tuple[bool, int, np.ndarray | int]]",
+        results: list[np.ndarray | None],
     ) -> None:
-        """Fold one delta write run into the batch state (no disk I/O).
+        """Execute one pass.
 
-        The in-memory mirror of :meth:`_delta_write_run`: splice new
-        data over ``state`` (the pre-read or already-folded contents),
-        XOR each data delta through its dependent parity chains. Every
-        ``state`` entry is a view into a span buffer and is updated *in
-        place*, so the span write-back needs no gather — the buffer
-        already holds the folded bytes; ``dirty`` marks which views the
-        journal must record.
+        Read every read span into the pass grid (one read per span and
+        nothing written yet, so a read fault leaves the array
+        untouched), run the steps in arrival order in the grid, journal
+        the pass's writes and seal, write every write span back (one
+        write per span), commit. Each step works in place, so a later
+        step sees an earlier one's writes exactly as serial execution
+        would. Stripe numbers in ``step`` count from ``base``.
         """
-        code = self.code
-        rows = code.rows
-        run = item.run
-        payload = buf[item.cursor : item.cursor + run.nbytes]
-        parity_deltas: dict[tuple[int, int], np.ndarray] = {}
-        cursor = 0
-        for index in range(run.length):
-            row, col = code.data_positions[run.start + index]
-            key = (col, stripe * rows + row)
-            old = state[key]
-            new, consumed = self._splice(run, index, cursor, payload, old)
-            cursor += consumed
-            delta = np.bitwise_xor(old, new)
-            old[:] = new  # fold into the span buffer itself
-            dirty[key] = old
-            for parity in code.parity_dependents[(row, col)]:
-                acc = parity_deltas.get(parity)
-                if acc is None:
-                    # copy: the same delta buffer feeds several parities
-                    parity_deltas[parity] = delta.copy()
-                else:
-                    np.bitwise_xor(acc, delta, out=acc)
-        for parity in sorted(parity_deltas):
-            row, col = parity
-            key = (col, stripe * rows + row)
-            view = state[key]
-            np.bitwise_xor(view, parity_deltas[parity], out=view)
-            dirty[key] = view
+        code, chunk, rows = self.code, self.chunk_bytes, self.code.rows
+        layout = step.layout
+        grid = np.empty((code.cols, layout.stripes, rows, chunk), dtype=np.uint8)
+        if self._empty_rows.size:
+            # Never read, but written back wherever a span bridges them.
+            grid[self._empty_cols, :, self._empty_rows] = 0
+        disks = grid.reshape(code.cols, -1, chunk)
+        first = (base + step.stripe) * rows
+        data_read, parity_read, data_written, parity_written = layout.counts
+        self._move(
+            layout.read_spans, self._read_span_into, first, disks,
+            (data_read, parity_read), wrote=False,
+        )
+        records: list[JournalRecord] | None = (
+            [] if self._journalling and layout.write_spans else None
+        )
+        for item, slot in zip(step.items, layout.slots):
+            is_write, offset, payload = ops[item.op_index]
+            where = item.bytes_of(
+                offset, payload.size if is_write else payload, chunk
+            )
+            if not is_write:
+                self._read_step(item, where, grid, slot, results[item.op_index])
+                continue
+            stripe = base + item.stripe
+            if item.plan.path == "delta":
+                self._delta_step(item, where, stripe, payload, grid, slot, records)
+                self.fast_path_writes += 1
+            else:
+                self._encode_step(item, where, stripe, payload, grid, slot, records)
+                self.slow_path_writes += item.count
+            for watcher in self._write_watchers:
+                watcher.update(range(stripe, stripe + item.count))
+        if not layout.write_spans:
+            return
+        if records is not None:
+            for record in records:
+                self.journal.log(record)
+        self._seal_journal()
+        self._move(
+            layout.write_spans, self._write_span, first, disks,
+            (data_written, parity_written), wrote=True,
+        )
+        self._commit_journal()
 
-    def _fold_rcw_item(
+    def _move(
         self,
-        stripe: int,
-        item: BatchItem,
-        buf: np.ndarray,
-        state: dict[tuple[int, int], np.ndarray],
-        dirty: dict[tuple[int, int], np.ndarray],
+        spans: "tuple[PassSpan, ...]",
+        transfer: "Callable[[int, int, np.ndarray], None]",
+        base: int,
+        disks: np.ndarray,
+        planned: tuple[int, int],
+        wrote: bool,
     ) -> None:
-        """Fold one reconstruct-write run into the batch state (no disk
-        I/O): the in-memory mirror of :meth:`_rcw_write_run`.
+        """Read or write (``transfer``) each span of a pass between the
+        disks and their rows of the pass grid (``disks``, ``(cols,
+        rows, chunk)``), then meter the planned chunks moved: all of
+        them (``planned``), or when a span fails, the spans' before
+        it."""
+        chunk = self.chunk_bytes
+        done = 0
+        try:
+            for disk, lba, row, chunks, _, _ in spans:
+                transfer(disk, (base + lba) * chunk, disks[disk, row : row + chunks])
+                done += 1
+        finally:
+            data, parity = planned
+            if done < len(spans):
+                data = sum(span[4] for span in spans[:done])
+                parity = sum(span[5] for span in spans[:done])
+            if data or parity:
+                self._count(data, parity, wrote=wrote)
 
-        Every data cell of the stripe is in ``state`` — the run's as
-        planned writes, the rest as planned reads — so the stripe is
-        re-encoded from them with the payload spliced in, and the
-        planned write cells are updated in place.
-        """
-        code = self.code
-        rows = code.rows
-        batch = np.zeros((code.cols, 1, rows, self.chunk_bytes), dtype=np.uint8)
-        for row, col in code.data_positions:
-            batch[col, 0, row] = state[(col, stripe * rows + row)]
-        run = item.run
-        self._splice_run(run, buf[item.cursor : item.cursor + run.nbytes], batch)
-        code.encode(batch)
-        for row, col in item.plan.writes:
-            key = (col, stripe * rows + row)
-            view = state[key]
-            view[:] = batch[col, 0, row]
-            dirty[key] = view
+    def _run_cells(self, item: BatchItem) -> tuple[np.ndarray, np.ndarray]:
+        """Grid columns and rows of the data chunks ``item`` covers."""
+        cells = slice(item.start, item.start + item.length)
+        return self._data_cols[cells], self._data_rows[cells]
 
-    def _fill_read_item(
+    def _new_data(
         self,
-        stripe: int,
         item: BatchItem,
-        state: dict[tuple[int, int], np.ndarray],
+        where: tuple[int, int, int],
+        payload: np.ndarray,
+        old: np.ndarray,
+    ) -> np.ndarray:
+        """New contents of the chunks ``item`` covers, ``(length,
+        chunk)``: its bytes of the payload (``where``, see
+        :meth:`BatchItem.bytes_of`), spliced onto ``old`` (their
+        contents in the grid) where it covers its first or last chunk
+        partly."""
+        cursor, skip, nbytes = where
+        chunk = self.chunk_bytes
+        piece = payload[cursor : cursor + nbytes]
+        if skip == 0 and nbytes == item.length * chunk:
+            return piece.reshape(item.length, chunk)
+        new = old.copy()
+        new.reshape(-1)[skip : skip + nbytes] = piece
+        return new
+
+    def _read_step(
+        self,
+        item: BatchItem,
+        where: tuple[int, int, int],
+        grid: np.ndarray,
+        slot: int,
         out: np.ndarray,
     ) -> None:
-        """Serve one read run from the batch state into ``out``."""
+        """Copy one read run out of the grid into ``out``, decoding the
+        stripe first when the run touches a failed column."""
+        if item.plan.decode:
+            self._current_decoder().decode_columns(grid[:, slot : slot + 1])
+        cols, rows = self._run_cells(item)
+        cursor, skip, nbytes = where
+        cells = grid[cols, slot, rows].reshape(-1)
+        out[cursor : cursor + nbytes] = cells[skip : skip + nbytes]
+
+    def _delta_step(
+        self,
+        item: BatchItem,
+        where: tuple[int, int, int],
+        stripe: int,
+        payload: np.ndarray,
+        grid: np.ndarray,
+        slot: int,
+        records: list[JournalRecord] | None,
+    ) -> None:
+        """Delta RMW in the grid: splice the new data over the old, XOR
+        each data delta through its dependent parities (the plan's
+        ``fold``), and journal the written cells' absolute values."""
+        cols, rows = self._run_cells(item)
+        old = grid[cols, slot, rows]
+        new = self._new_data(item, where, payload, old)
+        grid[cols, slot, rows] = new
+        np.bitwise_xor(old, new, out=old)  # the data deltas
+        parity_rows, parity_cols, layers = item.plan.fold
+        parity = grid[parity_cols, slot, parity_rows]
+        for targets, sources in layers:
+            parity[targets] ^= old[sources]
+        grid[parity_cols, slot, parity_rows] = parity
+        if records is None:
+            return
+        # Views: the grid holds the pass's final values when they are
+        # logged, and is not written again before the commit.
         chunk = self.chunk_bytes
-        rows = self.code.rows
-        run = item.run
-        consumed = 0
-        cursor = item.cursor
-        for index in range(run.length):
-            row, col = self.code.data_positions[run.start + index]
-            data = state[(col, stripe * rows + row)]
-            skip = run.skip if index == 0 else 0
-            take = min(chunk - skip, run.nbytes - consumed)
-            out[cursor : cursor + take] = data[skip : skip + take]
-            cursor += take
-            consumed += take
+        base = stripe * self.code.rows
+        for col, first, stop, data, parities in item.plan.write_runs:
+            records.append(
+                JournalRecord(
+                    shard=self.shard_id,
+                    disk=col,
+                    offset=(base + first) * chunk,
+                    payload=grid[col, slot, first:stop].reshape(-1),
+                    meter=(data, parities),
+                )
+            )
+
+    def _encode_step(
+        self,
+        item: BatchItem,
+        where: tuple[int, int, int],
+        stripe: int,
+        payload: np.ndarray,
+        grid: np.ndarray,
+        slot: int,
+        records: list[JournalRecord] | None,
+    ) -> None:
+        """Reconstruct-write, the stripe path or a wide write in the
+        grid: reconstruct the stripe if degraded, lay the new data in,
+        re-encode. The transaction logs one data record of the stripes'
+        new logical data, from which replay re-derives the parity."""
+        plan, count = item.plan, item.count
+        view = grid[:, slot : slot + count]
+        if plan.decode:
+            self._current_decoder().decode_columns(view)
+        if plan.reads:
+            cols, rows = self._run_cells(item)
+            grid[cols, slot, rows] = self._new_data(
+                item, where, payload, grid[cols, slot, rows]
+            )
+            data = None
+        else:
+            cursor, _, nbytes = where
+            data = payload[cursor : cursor + nbytes]
+            self._lay_stripes(view, data)
+        self.code.encode(view)
+        if records is None:
+            return
+        if data is None:
+            data = view[self._data_cols, 0, self._data_rows].reshape(-1)
+        records.append(
+            JournalRecord(
+                shard=self.shard_id,
+                disk=-1,
+                offset=stripe * self.code.rows * self.chunk_bytes,
+                payload=data,
+                stripe_data=True,
+            )
+        )
 
     # ------------------------------------------------------------------
     # failures, rebuild, scrubbing
@@ -1496,14 +1259,3 @@ class ArrayStore:
             if not self.code.verify_stripe(self._load_stripe(stripe))
         ]
 
-
-def _column_rows(cells: Iterable[Position]) -> list[tuple[int, slice]]:
-    """Per disk holding any of ``cells``, the stripe rows from its first
-    to its last cell: the span one I/O covers."""
-    rows: dict[int, list[int]] = {}
-    for row, col in cells:
-        rows.setdefault(col, []).append(row)
-    return [
-        (col, slice(min(found), max(found) + 1))
-        for col, found in sorted(rows.items())
-    ]

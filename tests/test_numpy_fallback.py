@@ -18,6 +18,7 @@ from tests.test_raid_plan_vs_store import (
     TestPropertyStyle,
     TestReconstructWrite,
 )
+from tests.test_store_stateful import TestStoreMachine
 from tests.test_stripe_transactions import (
     TestCompactionDurability,
     TestCrashSweep,
@@ -53,6 +54,7 @@ __all__ = [
     "TestReconstructWrite",
     "TestRecordIdentity",
     "TestRestripeInFlight",
+    "TestStoreMachine",
     "TestVolumeCrashSweep",
 ]
 

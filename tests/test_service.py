@@ -21,6 +21,7 @@ of hanging the suite (CI adds pytest-timeout on top).
 
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.service import (
     ArrayRWLock,
     BlockService,
     FifoSemaphore,
+    ServiceStats,
     StripeLockManager,
     percentile,
     replay_batched,
@@ -77,6 +79,21 @@ class TestPercentile:
     def test_rejects_out_of_range_fraction(self):
         with pytest.raises(ValueError, match="fraction"):
             percentile([1.0], 1.5)
+
+
+class TestServiceStats:
+    def test_latency_summaries_equal_a_lists(self):
+        samples = list(np.random.default_rng(3).lognormal(0.0, 1.0, 1001))
+        stats = ServiceStats()
+        for index, sample in enumerate(samples):
+            stats.record(index % 2 == 0, 512, sample)
+        assert stats.latencies_ms.itemsize == 8
+        assert len(stats.latencies_ms) == len(samples)
+        assert list(stats.latencies_ms[:10]) == samples[:10]
+        assert stats.p50_latency_ms == percentile(samples, 0.50)
+        assert stats.p99_latency_ms == percentile(samples, 0.99)
+        assert stats.mean_latency_ms == sum(samples) / len(samples)
+        assert list(asdict(stats)["latencies_ms"]) == samples
 
 
 class TestFifoSemaphore:

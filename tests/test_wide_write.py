@@ -7,7 +7,8 @@ The contracts pinned here:
   stripe, for every registered family, healthy and degraded;
 * chunk counters and fast/slow path counts equal what the planner
   prices for the request's per-stripe runs, while backing-file syscalls
-  drop once two or more whole stripes are written together;
+  drop once two or more whole stripes are written together, and are
+  the request's planned span count otherwise;
 * the cached store's full-stripe bypass stays exactly predictable by the
   ``"cached"`` planner strategy;
 * a multi-extent journaled volume write, merged into per-shard I/Os,
@@ -138,6 +139,9 @@ class TestOracleEquivalence:
                 payload = rng.integers(0, 256, length, dtype=np.uint8)
                 image[offset : offset + length] = payload
                 expected, fast, slow = _planned(store, offset, length)
+                spans = store.planner.plan_batch(
+                    [(True, offset, length)], failed
+                ).span_ios
                 before = (
                     store.io.snapshot(), store.syscalls.total,
                     store.fast_path_writes, store.slow_path_writes,
@@ -161,7 +165,9 @@ class TestOracleEquivalence:
                 if whole >= 2:
                     assert wide_syscalls < split_syscalls, context
                 else:
-                    assert wide_syscalls == split_syscalls, context
+                    # The request's runs share one pass's per-disk spans.
+                    assert wide_syscalls == spans, context
+                    assert wide_syscalls <= split_syscalls, context
 
                 oracle = _oracle_disks(code, image, STRIPES, CHUNK)
                 for disk in range(code.cols):
