@@ -14,11 +14,12 @@ and each runs one request at a time below it:
   The array readers-writer lock and the ordered per-stripe locks stay
   there too, although no module of the package takes them any more;
 * :mod:`repro.service.scheduler` — :class:`BlockService`, the front door
-  of one array: flat combining on the callers' threads, a coalescing
-  dispatcher thread only where batches merge span I/O (``batch_size``
-  above 1 on a store without a stripe cache), ``max_inflight``
-  admission, and the QoS arbiter that interleaves throttled repair
-  ticks with foreground traffic;
+  of one array: flat combining on the callers' threads, requests held
+  and run in stripe-affine batches only where batches merge span I/O
+  (``batch_size`` above 1 on a store without a stripe cache; still on
+  the callers' threads), ``max_inflight`` admission, and the QoS
+  arbiter that interleaves throttled repair ticks with foreground
+  traffic;
 * :mod:`repro.service.loadgen` — the closed-loop load generator:
   barrier-synchronized workers replaying traces concurrently, per-
   request latency sampling (p50/p99 vs offered load), and the

@@ -64,8 +64,8 @@ class ConcurrentReplayResult(ServiceStats):
     #: CPUs on the recording host (scaling context for the counters).
     host_cpus: int = 0
     #: Batch geometry: requested batch size (0 = per-request execution)
-    #: and batches actually executed (one per request unless a
-    #: dispatcher composed them).
+    #: and batches actually executed (one per request unless requests
+    #: were held and run in carved batches).
     batch_size: int = 0
     batches: int = 0
 
@@ -201,17 +201,14 @@ def replay_concurrent(
     repair=None,
     repair_every: int = 0,
     join_timeout_s: float = 600.0,
-    batch_size: int = 0,
 ) -> ConcurrentReplayResult:
     """Replay ``traces`` concurrently, one closed-loop worker per trace.
 
     Workers start together (barrier-synchronized) and each replays its
     trace through a shared :class:`BlockService`, whose combining queue
     runs their requests one at a time, in arrival order, on the workers'
-    own threads. With ``batch_size > 1`` on a store without a stripe
-    cache the service's dispatcher batches instead — workers stay
-    closed-loop, so batches only fill as far as the worker count allows;
-    use :func:`replay_batched` for an open-loop batch sweep.
+    own threads. Use :func:`replay_batched` for an open-loop batch
+    sweep.
     """
 
     def drive(service: BlockService) -> None:
@@ -252,7 +249,6 @@ def replay_concurrent(
         workers=max(1, len(traces)),
         repair=repair,
         repair_every=repair_every,
-        batch_size=batch_size,
     )
     return _replay(store, service, drive)
 
@@ -271,22 +267,26 @@ def replay_batched(
 
     One submitter issues requests in strict trace order via
     :meth:`BlockService.enqueue`. Batches fill only on a store without a
-    stripe cache, where the service runs a dispatcher: the admission
-    gate (``window`` outstanding requests, default ``16 * batch_size``)
-    is the only backpressure, so the dispatcher sees a standing queue
-    and batches actually fill — a closed-loop worker pool can never
-    offer more than ``workers`` concurrent requests, which is why the
-    worker sweep and the batch sweep are different experiments. The
-    default window is deliberately much deeper than one batch: it is the
-    dispatcher's stripe-affinity reorder horizon, and affinity is what
-    converts cross-request overlap into span coalescing. On a cached
-    store, and at ``batch_size=1``, every request runs on the submitter's
-    thread as it is issued, a batch of one, so the replay is the serial
-    one, down to the cache's hit and eviction counts. Replay stays
-    deterministic at the byte level regardless of batch size: the
-    dispatcher preserves per-stripe FIFO order and requests on disjoint
-    stripes commute, so any two batch sizes produce byte-identical
-    arrays and identical aggregate chunk ``IoCounters``.
+    stripe cache, where the service holds requests: it holds up to
+    ``window`` of them (its ``max_inflight``, default
+    ``max(32, 16 * batch_size)``), and once that many are held each
+    ``enqueue`` first runs one batch carved from them, on the
+    submitter's thread. A closed-loop worker pool can never offer more
+    than ``workers`` concurrent requests, which is why the worker sweep
+    and the batch sweep are different experiments. The default window
+    is deliberately much deeper than one batch: it is the
+    stripe-affinity reorder horizon, and affinity is what converts
+    cross-request overlap into span coalescing. The first wait for a
+    result runs whatever is still held. Batch composition is a pure
+    function of the trace, so syscall and batch counts repeat exactly
+    from run to run. On a cached store, and at ``batch_size=1``, every
+    request runs on the submitter's thread as it is issued, a batch of
+    one, so the replay is the serial one, down to the cache's hit and
+    eviction counts. Replay stays deterministic at the byte level
+    regardless of batch size: batches preserve per-stripe FIFO order
+    and requests on disjoint stripes commute, so any two batch sizes
+    produce byte-identical arrays and identical aggregate chunk
+    ``IoCounters``.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

@@ -2,7 +2,8 @@
 
 :class:`BlockService` is the byte-addressed front door of one
 :class:`~repro.store.ArrayStore`. It decides *who runs when*; below it
-one request, or one batch, runs at a time:
+one request, or one batch, runs at a time, and it starts no thread to
+do so:
 
 * **flat combining.** Every request — ``read``, ``write``, an
   ``enqueue``d request, ``drain_repair`` and the flush in ``close`` —
@@ -12,22 +13,25 @@ one request, or one batch, runs at a time:
   caller sleeps until its request has run, an ``enqueue`` too. Requests
   run in arrival order, rounds are bounded, and a request's
   ``Exception`` is raised in its own caller only (the queue's rules).
-  No thread is started for this.
-* **a coalescing dispatcher where batches merge I/O.** With
-  ``batch_size`` above 1 on a store without a stripe cache, a single
-  dispatcher thread buffers arrivals (adaptive window — it stops
-  waiting early when arrivals can't fill a batch, and drains anything
-  already queued beyond it), composes each batch by **stripe affinity**
-  — same-stripe requests join for free, a small budget caps the
-  distinct stripes a batch opens, per-stripe FIFO order is preserved so
-  the reordering is invisible — and runs the batch through the queue as
-  one request, via :meth:`~repro.store.ArrayStore.execute_batch`'s
-  merged span I/O. Chunk ``IoCounters`` are identical to per-request
-  execution; only the syscall count and the per-request Python overhead
-  drop. On a cached store ``execute_batch`` applies its ops one by one
-  through the cache and merges nothing, so there, as with
-  ``batch_size`` 0 or 1, requests combine and no dispatcher exists. The
-  mode is decided once, at construction.
+* **held batches where batches merge I/O.** With ``batch_size`` above
+  1 on a store without a stripe cache, a request is *held* instead:
+  its queued call puts it in the held set and returns, with a future.
+  A batch is carved from the held set by **stripe affinity** —
+  same-stripe requests join for free, a small budget caps the distinct
+  stripes a batch opens, per-stripe FIFO order is preserved so the
+  reordering is invisible — and runs through
+  :meth:`~repro.store.ArrayStore.execute_batch`'s merged span I/O.
+  The request that finds ``max_inflight`` requests held first runs one
+  such batch; asking a held future for its outcome, any ``read``,
+  ``write`` or ``submit_*`` (each waits for its own held request),
+  ``drain_repair`` and ``close`` run every held request, batch by
+  batch. So batch composition is a pure function of the request
+  stream. Chunk ``IoCounters`` are identical to per-request execution;
+  only the syscall count and the per-request Python overhead drop. On a
+  cached store ``execute_batch`` applies its ops one by one through the
+  cache and merges nothing, so there, as with ``batch_size`` 0 or 1,
+  every request runs as soon as its turn comes. The mode is decided
+  once, at construction.
 * **maintenance runs below the queue.** Injected faults surfacing from
   a request go to the :class:`~repro.faults.repair.RepairController`
   from within that request, which then retries; one throttled repair
@@ -36,15 +40,14 @@ one request, or one batch, runs at a time:
   concurrent analogue of ``BlockDevice.replay(scrub_every=...)``. Either
   way repair sees a quiescent array, as in the serial replay loop.
 * **admission** is a strict-FIFO counting semaphore (``max_inflight``)
-  on requests admitted and not yet completed; in dispatcher mode it is
-  the backpressure that lets batches assemble without unbounded
-  buffering.
+  on requests admitted and not yet completed. Held requests take no
+  slot: the held set is bounded by ``max_inflight`` itself.
 
 Every request runs through one pipeline, :meth:`BlockService._dispatch`
-→ :meth:`BlockService._complete`, as a batch: of one, or as the
-dispatcher composed it. Everything below the queue (store, cache,
-journal, repair controller) is single-caller and takes no locks, so
-direct multi-threaded use of the store beside a running service is
+→ :meth:`BlockService._complete`, as a batch: of one, or as carved
+from the held set. Everything below the queue (store, cache, journal,
+repair controller) is single-caller and takes no locks, so direct
+multi-threaded use of the store beside a running service is
 unsupported. Once :meth:`BlockService.close` has begun, every new
 request raises ``RuntimeError``.
 
@@ -57,7 +60,6 @@ Latency is measured per request from admission to completion
 from __future__ import annotations
 
 import math
-import queue
 import threading
 import time
 from array import array
@@ -150,13 +152,43 @@ class ServiceStats:
         return percentile(self.latencies_ms, 0.99)
 
 
+class _HeldFuture(Future):
+    """The future of a held request. :func:`concurrent.futures.wait`
+    and ``as_completed`` ask it for nothing, so on their own they wait
+    for whatever next runs the held set."""
+
+    def __init__(self, service: "BlockService") -> None:
+        super().__init__()
+        self._service = service
+        # Running, so its holder cannot cancel it and resolving it
+        # cannot fail.
+        self.set_running_or_notify_cancel()
+
+    def _run_held(self) -> None:
+        if not self.done():
+            self._service._combiner.execute(self._service._run_held)
+
+    def result(self, timeout: float | None = None):
+        """Run every held request, as one queued call on this thread,
+        then return the request's result (``timeout`` does not bound
+        that call)."""
+        self._run_held()
+        return super().result(timeout)
+
+    def exception(self, timeout: float | None = None):
+        """Run every held request as :meth:`result` does, then return
+        the request's exception."""
+        self._run_held()
+        return super().exception(timeout)
+
+
 class _Request:
     """One admitted request and, once executed, its outcome.
 
     It is what the combining queue runs (:meth:`run`), with ``gate``
     the held lock its caller sleeps on; such a request carries its
-    outcome on itself and allocates no :class:`Future`. In dispatcher
-    mode it carries a ``future`` instead, which resolves once the
+    outcome on itself and allocates no :class:`Future`. A held request
+    carries a :class:`_HeldFuture` instead, which resolves once the
     request's batch has run.
     """
 
@@ -179,8 +211,8 @@ class _Request:
         self.offset = offset
         self.length = length
         self.payload = payload
-        #: The stripes the byte range touches; set for the dispatcher,
-        #: which composes batches by them.
+        #: The stripes the byte range touches; set for a held request,
+        #: since batches are carved by them.
         self.stripes: range | None = None
         self.started = started
         self.result: np.ndarray | None = None
@@ -199,8 +231,8 @@ class _Request:
         self.service._serve([self])
 
     def outcome(self) -> np.ndarray | None:
-        """The request's result (waiting for the dispatcher if queued
-        there); raises what the request raised."""
+        """The request's result (running the held set first if it is
+        held); raises what the request raised."""
         if self.future is not None:
             return self.future.result()
         if self.error is not None:
@@ -239,26 +271,20 @@ class BlockService:
             faults). The tick runs below the queue, so later requests
             wait for exactly the tick's bounded chunk budget.
         max_inflight: admission bound on requests admitted and not yet
-            completed, in every mode; defaults to ``4 * workers`` (and at
-            least ``batch_size``, so a full batch can ever assemble). In
-            dispatcher mode it bounds the dispatcher's buffer; otherwise
-            every caller waits for its own request, so it bounds the
-            callers in the combining queue at once.
+            completed; defaults to ``4 * workers`` (and at least
+            ``batch_size``, so a full batch can ever be held). Every
+            caller waits for its own request, so it bounds the callers
+            in the combining queue at once; where requests are held it
+            bounds the held set instead.
         batch_size: 0 (default) and 1 execute every request as a batch
             of one through the combining queue; 0 also refuses
             :meth:`enqueue`, so 1 is the batched mode's degenerate
             per-request baseline. Above 1, on a store without a stripe
-            cache, admitted requests go to a single dispatcher thread
-            that groups up to this many of them per
-            :meth:`~repro.store.ArrayStore.execute_batch` call. On a
-            cached store, where ``execute_batch`` merges no I/O, values
-            above 1 combine as 1 does.
-        batch_window_s: longest the dispatcher waits for a batch to
-            fill once its first request arrived; unused without a
-            dispatcher. The effective wait adapts: it halves after an
-            underfull batch (arrivals too slow to fill one — don't stall
-            them) and doubles back after full batches, bounded by this
-            value.
+            cache, requests are held and run in batches of up to this
+            many per :meth:`~repro.store.ArrayStore.execute_batch` call
+            (see the module docstring). On a cached store, where
+            ``execute_batch`` merges no I/O, values above 1 run requests
+            as 1 does.
     """
 
     def __init__(
@@ -270,7 +296,6 @@ class BlockService:
         repair_every: int = 0,
         max_inflight: int | None = None,
         batch_size: int = 0,
-        batch_window_s: float = 0.002,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -280,8 +305,6 @@ class BlockService:
             raise ValueError("repair_every needs a repair controller")
         if batch_size < 0:
             raise ValueError("batch_size must be >= 0")
-        if batch_window_s <= 0:
-            raise ValueError("batch_window_s must be positive")
         self.store = store
         self.device = BlockDevice(store)
         #: Addressable bytes (the device's full logical capacity).
@@ -290,25 +313,20 @@ class BlockService:
         self.repair = repair
         self.repair_every = repair_every
         self.batch_size = batch_size
-        self.batch_window_s = batch_window_s
         self.stats = ServiceStats()
         inflight = max_inflight if max_inflight is not None else 4 * workers
-        self._admission = FifoSemaphore(max(inflight, batch_size))
+        self._window = max(inflight, batch_size)
+        self._admission = FifoSemaphore(self._window)
         #: Runs every request, batch and maintenance call, one at a time.
         self._combiner = CombiningQueue()
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
-        #: Whether a dispatcher composes batches: only where
-        #: ``execute_batch`` merges span I/O, on a store without a cache,
-        #: and until :meth:`close` stops it (under ``_dispatcher_lock``).
-        self._dispatching = batch_size > 1 and store.cache is None
-        #: Dispatcher plumbing (inert unless ``_dispatching``).
-        self._arrivals: "queue.SimpleQueue[_Request | None]" = (
-            queue.SimpleQueue()
-        )
-        self._dispatcher: threading.Thread | None = None
-        self._dispatcher_lock = threading.Lock()
-        self._batch_wait_s = batch_window_s
+        #: Whether requests are held and run in carved batches: only
+        #: where ``execute_batch`` merges span I/O, on a store without a
+        #: cache.
+        self._batching = batch_size > 1 and store.cache is None
+        #: Held requests in arrival order (touched only below the queue).
+        self._held: "list[_Request]" = []
         self._per_stripe_bytes = store.code.num_data * store.chunk_bytes
         #: Distinct new stripes one batch may open during stripe-affinity
         #: composition (see :meth:`_compose`); same-stripe requests join
@@ -316,7 +334,7 @@ class BlockService:
         #: few stripes and lets span merging actually bite.
         self._stripe_budget = max(2, batch_size // 5)
         #: Batches executed and requests they carried (mean batch fill =
-        #: ``batched_requests / batches``; 1 without a dispatcher).
+        #: ``batched_requests / batches``; 1 unless requests are held).
         self.batches = 0
         self.batched_requests = 0
 
@@ -332,32 +350,31 @@ class BlockService:
         return self._pool
 
     def close(self) -> None:
-        """Refuse new requests; drain the pool, the dispatcher and the
-        queue; then drain repair and flush the cache, as one queued
-        request. Requests submitted to the pool before still run."""
+        """Refuse new requests; drain the pool and the queue; then run
+        every held request, drain repair and flush the cache, as one
+        queued request. Requests submitted to the pool before still
+        run."""
         if self._closed:
             return
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        # A request that raced past the closed check finds the
-        # dispatcher gone and combines instead.
-        with self._dispatcher_lock:
-            dispatcher, self._dispatching = self._dispatcher, False
-            if dispatcher is not None:
-                self._arrivals.put(None)
-        if dispatcher is not None:
-            dispatcher.join(timeout=60.0)
         self._combiner.execute(self._drain_and_flush)
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("the block service is closed")
 
-    def _drain_and_flush(self) -> None:
+    def _drain(self) -> None:
+        """Run every held request, then repair until the array is
+        healthy (below the queue)."""
+        self._run_held()
         if self.repair is not None:
             self.repair.drain()
+
+    def _drain_and_flush(self) -> None:
+        self._drain()
         # The final flush runs with any fault plan still armed; give it
         # the same repair-and-retry treatment as request I/O so a latent
         # sector surfacing on a parity anchor read doesn't escape
@@ -373,7 +390,8 @@ class BlockService:
 
         Counts and blocked time accumulate for the service's lifetime:
         admission-gate acquisitions plus the milliseconds spent blocked
-        on it (contended acquires only).
+        on it (contended acquires only). A service that holds requests
+        takes no slot, so it counts nothing here.
         """
         return {
             "admission_acquisitions": self._admission.acquisitions,
@@ -429,16 +447,15 @@ class BlockService:
     ) -> "Future[np.ndarray | None]":
         """Asynchronous admission in batched mode (no pool thread).
 
-        Acquires an admission slot on the *calling* thread — so a single
-        submitter issuing requests in order is backpressured, not
-        reordered; the slot is released when the request completes. This
-        is the open-loop entry the batched load generator drives. In
-        dispatcher mode the returned future resolves once the request's
-        batch has run, and queue depth up to ``max_inflight`` from one
-        submitter is what lets batches fill. Otherwise the request joins
-        the combining queue as :meth:`read` and :meth:`write` do, and
-        has run, on this thread or on the combiner's, when this returns
-        a completed future.
+        This is the open-loop entry the batched load generator drives.
+        Where requests are held, the request is held and the returned
+        future resolves once its batch has run: up to ``max_inflight``
+        held requests from one submitter is what lets batches fill, and
+        the ``enqueue`` that finds them all held first runs one batch on
+        its own thread. Otherwise the request joins the combining queue
+        as :meth:`read` and :meth:`write` do (taking an admission slot
+        on the calling thread), and has run, on this thread or on the
+        combiner's, when this returns a completed future.
         """
         self._check_open()
         if not self.batch_size:
@@ -469,18 +486,24 @@ class BlockService:
     ) -> _Request:
         """Admit one request and start it through the pipeline.
 
-        In dispatcher mode the request is handed to the dispatcher with
-        a future; its admission slot stays held while it waits there.
-        Otherwise it joins the combining queue and the caller waits
+        Where requests are held, a queued call holds the request, with
+        a :class:`_HeldFuture` and no admission slot. Otherwise it
+        takes a slot, joins the combining queue and the caller waits
         until it has run, running the queue itself if no combiner is
         active.
         """
         request = _Request(
             self, is_write, offset, length, payload, time.perf_counter()
         )
-        self._admission.acquire()
-        if self._dispatching and self._to_dispatcher(request):
+        if self._batching:
+            per_stripe = self._per_stripe_bytes
+            request.stripes = range(
+                offset // per_stripe, (offset + length - 1) // per_stripe + 1
+            )
+            request.future = _HeldFuture(self)
+            self._combiner.execute(partial(self._hold, request))
             return request
+        self._admission.acquire()
         request.gate = held_lock()
         self._combiner.permit(request).acquire()
         if request.leads:
@@ -571,7 +594,7 @@ class BlockService:
         completed — in the stats and toward the ``repair_every`` QoS
         tick. Due ticks run before the outcomes are handed back, and a
         tick's error becomes the outcome of every request in the batch.
-        Then admission slots are released and dispatcher futures
+        Then admission slots are released and held requests' futures
         resolved. A ``BaseException`` that is not an ``Exception`` skips
         the ticks and propagates after the hand-back: the thread running
         the batch is going down.
@@ -600,8 +623,9 @@ class BlockService:
                 request.error = exc
         finally:
             for request in batch:
-                self._admission.release()
-                if request.future is not None:
+                if request.future is None:
+                    self._admission.release()
+                else:
                     request.settle(request.future)
         if interrupted is not None:
             raise interrupted
@@ -612,126 +636,40 @@ class BlockService:
         self.stats.repair_ticks += 1
 
     def drain_repair(self) -> None:
-        """Run repair ticks, as one queued request, until the array is
-        healthy."""
-        if self.repair is not None:
-            self._combiner.execute(self.repair.drain)
+        """Run every held request, then repair ticks until the array is
+        healthy, as one queued request."""
+        self._combiner.execute(self._drain)
 
     # ------------------------------------------------------------------
-    # the coalescing dispatcher (batch_size > 1, no stripe cache)
+    # held requests (batch_size > 1, no stripe cache)
     # ------------------------------------------------------------------
-    def _to_dispatcher(self, request: _Request) -> bool:
-        """Hand ``request`` to the dispatcher, starting it on first use;
-        False once :meth:`close` has stopped it."""
-        with self._dispatcher_lock:
-            if not self._dispatching:
-                return False
-            per_stripe = self._per_stripe_bytes
-            request.stripes = range(
-                request.offset // per_stripe,
-                (request.offset + request.length - 1) // per_stripe + 1,
-            )
-            # Running, so its holder cannot cancel it and resolving it
-            # cannot fail.
-            request.future = Future()
-            request.future.set_running_or_notify_cancel()
-            if self._dispatcher is None:
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    name="repro-batch-dispatcher",
-                    daemon=True,
-                )
-                self._dispatcher.start()
-            self._arrivals.put(request)
-            return True
+    def _hold(self, request: _Request) -> None:
+        """Hold ``request`` (below the queue). A held set already
+        ``max_inflight`` deep first runs the one batch :meth:`_compose`
+        carves from it: a sliding window over the request stream."""
+        held = self._held
+        if len(held) >= self._window:
+            self._serve(self._compose(held))
+        held.append(request)
+        if self._closed:
+            # Raced past close's check, maybe behind its drain: nothing
+            # would run it later.
+            self._run_held()
 
-    def _dispatch_loop(self) -> None:
-        """Collect pending requests, compose affine batches, dispatch.
-
-        Each round :meth:`_collect` fills the dispatcher's pending
-        buffer (blocking for the first arrival, adaptively waiting for a
-        full batch, then draining whatever else already queued — the
-        deeper the buffer, the better :meth:`_compose` can group by
-        stripe) and :meth:`_compose` carves one batch out of it, which
-        runs through the combining queue as one request. On shutdown the
-        remaining pending requests drain batch by batch.
-
-        A ``BaseException`` that interrupts a batch is already the
-        outcome of the batch's unfinished requests, in their futures; the
-        dispatcher goes on serving, so no later request is stranded.
-        """
-        pending: "list[_Request]" = []
-        stopping = False
-        while True:
-            if not stopping:
-                stopping = self._collect(pending)
-            if not pending:
-                return
-            batch = self._compose(pending)
-            try:
-                self._combiner.execute(partial(self._serve, batch))
-            except BaseException:  # noqa: BLE001 - handed to the batch
-                pass
-            if stopping and not pending:
-                return
-
-    def _collect(self, pending: "list[_Request]") -> bool:
-        """Top up the pending buffer from the arrival queue.
-
-        Blocks for the first request when the buffer is empty (no busy
-        wait), then drains further arrivals until a full batch is
-        buffered or the adaptive window expires. The window halves after
-        an underfull round — arrivals too slow to fill a batch shouldn't
-        stall behind a timer — and doubles back toward
-        ``batch_window_s`` after full ones. A final non-blocking drain
-        deepens the buffer past ``batch_size`` for free: admission
-        (``max_inflight``) bounds it, and every extra buffered request
-        widens the stripe-affinity window :meth:`_compose` selects from.
-        Returns True when the shutdown sentinel was consumed.
-        """
-        if not pending:
-            item = self._arrivals.get()
-            if item is None:
-                return True
-            pending.append(item)
-        if len(pending) < self.batch_size:
-            deadline = time.perf_counter() + self._batch_wait_s
-            while len(pending) < self.batch_size:
-                remaining = deadline - time.perf_counter()
-                try:
-                    nxt = (
-                        self._arrivals.get(timeout=remaining)
-                        if remaining > 0
-                        else self._arrivals.get_nowait()
-                    )
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    return True
-                pending.append(nxt)
-            if len(pending) >= self.batch_size:
-                self._batch_wait_s = min(
-                    self.batch_window_s, self._batch_wait_s * 2
-                )
-            else:
-                self._batch_wait_s = max(
-                    self.batch_window_s / 64, self._batch_wait_s / 2
-                )
-        while True:
-            try:
-                nxt = self._arrivals.get_nowait()
-            except queue.Empty:
-                return False
-            if nxt is None:
-                return True
-            pending.append(nxt)
+    def _run_held(self) -> None:
+        """Run every held request, in the batches :meth:`_compose`
+        carves (below the queue). A ``BaseException`` from a batch
+        propagates and leaves the rest held for the next run."""
+        held = self._held
+        while held:
+            self._serve(self._compose(held))
 
     def _compose(self, pending: "list[_Request]") -> "list[_Request]":
-        """Carve one stripe-affine batch out of the pending buffer.
+        """Carve one stripe-affine batch out of the held requests.
 
         Consecutive arrivals rarely share stripes, which caps span
         merging at whatever locality the workload happens to interleave;
-        selecting *same-stripe* requests from a deeper buffer is what
+        selecting *same-stripe* requests from a deeper held set is what
         turns per-stripe dedup and span coalescing into real syscall
         reductions. The scan runs in strict arrival order with two
         rules that keep reordering invisible:
@@ -743,7 +681,7 @@ class BlockService:
           on disjoint stripes commute byte-for-byte (``IoCounters`` are
           metered from per-item plans, so aggregate accounting is
           composition-independent too);
-        * the head of the buffer is always taken (no starvation), and
+        * the oldest held request is always taken (no starvation), and
           after it each request must either stay within the batch's
           stripes or fit the remaining new-stripe budget.
         """

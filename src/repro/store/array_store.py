@@ -84,6 +84,12 @@ WRITE_MODES = ("auto", "delta", "stripe")
 #: planner (shared with the DiskSim controller) owns path selection.
 _MODE_TO_STRATEGY = {"auto": "delta", "delta": "delta-always", "stripe": "stripe"}
 
+#: Gap-bridging distance, in chunks, of the span I/O every request and
+#: batch runs: two planned chunk I/Os on one disk separated by at most
+#: this many uncovered chunks merge into one span, trading bytes moved
+#: at memory speed for a syscall saved. Bridged chunks are not metered.
+SPAN_BRIDGE_CHUNKS = 16
+
 #: Vectored I/O availability (Linux/BSD yes, some platforms no). Without
 #: ``preadv`` a span is read as bytes and copied into place; without
 #: ``pwritev`` it is written with ``pwrite``. Either way one syscall per
@@ -142,15 +148,6 @@ class ArrayStore:
         shard_id: this store's id inside a shared journal (and inside a
             :class:`~repro.volume.VolumeManager`); 0 for standalone
             stores.
-        span_bridge_chunks: gap-bridging distance (in chunks) of the
-            span I/O every request and batch runs — two planned chunk
-            I/Os on one disk separated by at most this many uncovered
-            chunks merge into one span, trading extra bytes moved at
-            memory speed for one syscall saved. 0 coalesces strictly
-            adjacent chunks only. Logical :class:`IoCounters` are
-            unaffected (bridged gaps are not metered). Fixed for the
-            store's lifetime: the planner builds its run plans' spans
-            with it.
 
     Reopening a directory whose backing files don't match the requested
     geometry raises ``ValueError`` rather than destroying the contents.
@@ -176,12 +173,9 @@ class ArrayStore:
         fault_plan: "FaultPlan | None" = None,
         journal: WriteJournal | None = None,
         shard_id: int = 0,
-        span_bridge_chunks: int = 16,
     ) -> None:
         if stripes <= 0 or chunk_bytes <= 0:
             raise ValueError("stripes and chunk_bytes must be positive")
-        if span_bridge_chunks < 0:
-            raise ValueError("span_bridge_chunks must be >= 0")
         if write_mode not in WRITE_MODES:
             raise ValueError(
                 f"write_mode must be one of {WRITE_MODES}, got {write_mode!r}"
@@ -202,8 +196,6 @@ class ArrayStore:
         #: Physical backing-file syscalls (orthogonal to the logical
         #: chunk counters above — see :class:`SyscallCounters`).
         self.syscalls = SyscallCounters()
-        #: Max uncovered chunks a span bridges (see the argument).
-        self.span_bridge_chunks = span_bridge_chunks
         #: Stripe-runs served by the delta fast path / full-stripe path.
         self.fast_path_writes = 0
         self.slow_path_writes = 0
@@ -211,7 +203,7 @@ class ArrayStore:
         #: selection, identical to the DiskSim controller's.
         self.planner = RequestPlanner(
             code, chunk_bytes, write_strategy=_MODE_TO_STRATEGY[write_mode],
-            bridge=span_bridge_chunks,
+            bridge=SPAN_BRIDGE_CHUNKS,
         )
         self.cache = None
         if cache_stripes:

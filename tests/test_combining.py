@@ -398,14 +398,18 @@ class TestBlockServiceCombining(CombiningContract):
     def _scrub_clean(self, backend):
         return backend.scrub() == []
 
+    @pytest.mark.parametrize(
+        "cache_stripes", [4, 0], ids=["cached", "uncached"]
+    )
     def test_cached_batched_service_runs_on_the_callers_thread(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, cache_stripes
     ):
-        """A stripe cache merges no I/O, so ``batch_size=16`` over one
-        combines: ``enqueue``, ``read`` and ``write`` all run on the
-        caller's thread, and the service starts no thread at all."""
+        """``batch_size=16`` starts no thread, with a stripe cache (which
+        merges no I/O, so requests combine) or without one (requests are
+        held, and asking for an outcome runs them): ``enqueue``, ``read``
+        and ``write`` all run on the caller's thread."""
         before = set(threading.enumerate())
-        store = _store(tmp_path, cache_stripes=4)
+        store = _store(tmp_path, cache_stripes=cache_stripes)
         ran_on = []
         write_bytes, read_bytes = store.write_bytes, store.read_bytes
 
@@ -484,13 +488,40 @@ class TestBlockServiceCombining(CombiningContract):
         _join(callers)
         store.close()
 
-    def test_a_base_exception_in_a_dispatcher_batch_strands_no_request(
-        self, tmp_path
-    ):
-        """Where a dispatcher composes batches (``batch_size`` above 1,
-        no stripe cache), a ``BaseException`` fails the batch it
-        interrupted, through its futures, and the dispatcher goes on
-        serving the requests after it."""
+    def test_a_read_runs_the_held_writes_before_it(self, tmp_path):
+        """Without a stripe cache ``batch_size=16`` holds an
+        ``enqueue``d write; a ``read`` of the same bytes runs it first,
+        though nobody asked the write's future."""
+        store = _store(tmp_path)
+        with store, BlockService(store, batch_size=16) as service:
+            write = service.enqueue(True, 100, b"\x07" * 3000)
+            assert not write.done()
+            assert service.stats.writes == 0
+            assert service.read(100, 3000) == b"\x07" * 3000
+            assert write.done()
+            assert service.stats.writes == 1
+
+    def test_close_runs_held_requests_nobody_waited_for(self, tmp_path):
+        store = _store(tmp_path)
+        service = BlockService(store, batch_size=16)
+        writes = [
+            service.enqueue(True, 700 * index, bytes([index + 1]) * 700)
+            for index in range(6)
+        ]
+        assert not any(write.done() for write in writes)
+        service.close()
+        assert all(write.done() for write in writes)
+        assert service.stats.writes == 6
+        for index in range(6):
+            assert bytes(store.read_bytes(700 * index, 700)) == (
+                bytes([index + 1]) * 700
+            )
+        store.close()
+
+    def test_a_base_exception_in_a_batch_strands_no_request(self, tmp_path):
+        """Where requests are held (``batch_size`` above 1, no stripe
+        cache), a ``BaseException`` fails the batch it interrupted,
+        through its futures, and the requests after it still run."""
         store = _store(tmp_path)
         service = BlockService(store, batch_size=4)
         crashes = [1]

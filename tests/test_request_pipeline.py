@@ -8,8 +8,10 @@ closing flush, the CLI scrub prefill — goes through
 mode: only requests that returned are counted.
 """
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -121,8 +123,8 @@ class TestOnePipeline:
     def test_failed_requests_are_not_counted(
         self, tmp_path, monkeypatch, batch_size
     ):
-        """Regression: a failed inline ``enqueue`` and a failed
-        dispatcher-batch member were counted as completed writes."""
+        """Regression: a failed inline ``enqueue`` and a failed member
+        of a multi-request batch were counted as completed writes."""
         store = make_store(tmp_path)
         with store, BlockService(store, batch_size=batch_size) as service:
             service.write(0, b"x" * 64)
@@ -182,7 +184,8 @@ class TestOnePipeline:
         self, tmp_path, monkeypatch
     ):
         """Sync calls and ``enqueue`` alike execute inline as batches of
-        one: no dispatcher thread, one batch per request."""
+        one: no thread started, one batch per request."""
+        before = set(threading.enumerate())
         store = make_store(tmp_path)
         threads = []
         write_bytes, read_bytes = store.write_bytes, store.read_bytes
@@ -204,10 +207,7 @@ class TestOnePipeline:
             read = service.enqueue(False, 0, 10).result()
             assert bytes(read) == b"b" * 10
             assert threads == [threading.current_thread()] * 4
-            assert not any(
-                thread.name == "repro-batch-dispatcher"
-                for thread in threading.enumerate()
-            )
+            assert set(threading.enumerate()) == before
             assert service.batches == service.batched_requests == 4
 
     def test_close_raises_when_the_flush_keeps_faulting(
@@ -227,6 +227,77 @@ class TestOnePipeline:
             assert isinstance(info.value.__cause__, FailStopError)
             assert info.value.__cause__.disk == 5
             monkeypatch.undo()
+
+
+class TestHeldBatches:
+    """``batch_size`` above 1 on a store without a stripe cache: requests
+    are held and run in batches carved from the held set."""
+
+    def test_two_enqueuing_threads_finish_and_match_a_serial_model(
+        self, tmp_path
+    ):
+        """With ``max_inflight=4`` the enqueue that finds four requests
+        held runs a batch itself, so neither submitter waits on a slot
+        that only held requests would free. Each thread owns half the
+        array, so its reads and the final bytes follow its own order."""
+        store = make_store(tmp_path)
+        half = store.capacity_bytes // 2
+        image = np.zeros(store.capacity_bytes, dtype=np.uint8)
+        checks = [[], []]
+
+        def submitter(part):
+            rng = np.random.default_rng(part)
+            for _ in range(80):
+                length = int(rng.integers(1, 1200))
+                offset = part * half + int(rng.integers(0, half - length))
+                if rng.random() < 0.7:
+                    payload = rng.integers(0, 256, length, dtype=np.uint8)
+                    image[offset : offset + length] = payload
+                    service.enqueue(True, offset, payload)
+                else:
+                    expected = image[offset : offset + length].copy()
+                    checks[part].append(
+                        (service.enqueue(False, offset, length), expected)
+                    )
+
+        with store, BlockService(
+            store, batch_size=4, max_inflight=4
+        ) as service:
+            threads = [
+                threading.Thread(target=submitter, args=(part,), daemon=True)
+                for part in range(2)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=JOIN_S)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            for future, expected in checks[0] + checks[1]:
+                assert np.array_equal(future.result(timeout=JOIN_S), expected)
+            assert 0 < service.batches < service.stats.requests == 160
+            assert np.array_equal(
+                store.read_bytes(0, store.capacity_bytes), image
+            )
+
+    def test_batch_composition_repeats_exactly(self, tmp_path):
+        """Batches are carved from the request stream alone, with no
+        timer, so two replays of one trace run the same batches and
+        issue the same syscalls."""
+        trace = generate_trace("prxy_0", requests=200, seed=4)
+        results = []
+        for run in range(2):
+            store = make_store(tmp_path, f"run{run}")
+            with store:
+                results.append(
+                    replay_batched(store, trace, batch_size=16, window=32)
+                )
+        assert results[0].batches == results[1].batches < len(trace)
+        assert results[0].syscalls == results[1].syscalls
 
 
 @pytest.mark.parametrize("batched", [False, True])

@@ -626,8 +626,6 @@ class TestBatchedService:
         with store:
             with pytest.raises(ValueError, match="batch_size"):
                 BlockService(store, batch_size=-1)
-            with pytest.raises(ValueError, match="batch_window_s"):
-                BlockService(store, batch_size=4, batch_window_s=-0.5)
 
     def test_batched_roundtrip(self, tmp_path):
         store = make_store(tmp_path, subdir="rt")
@@ -668,10 +666,10 @@ class TestBatchedService:
         With capacity for every touched stripe the ledger is
         eviction-free and batching must reproduce serial replay counter
         for counter. With a tiny cache, LRU victim choice depends on
-        touch order — which the stripe-affinity dispatcher deliberately
-        changes — so per the determinism contract only bytes must
-        match, and stripe-dense batches may only shrink the chunk
-        traffic the thrashing cache would otherwise spill."""
+        touch order — which stripe-affinity batches would change — so
+        per the determinism contract only bytes must match, and
+        stripe-dense batches may only shrink the chunk traffic the
+        thrashing cache would otherwise spill."""
         trace = generate_trace("src2_0", requests=150, seed=8)
         store = make_store(tmp_path, subdir="bc", cache_stripes=STRIPES)
         with store:
@@ -727,8 +725,8 @@ class TestBatchedService:
     def test_execute_batch_cuts_syscalls_4x(self, tmp_path):
         """Acceptance: span-coalesced batch execution performs >= 4x
         fewer backing-file syscalls than per-request execution, while
-        logical chunk counters stay identical (deterministic: driven
-        through ``execute_batch`` directly, no dispatcher timing)."""
+        logical chunk counters stay identical (driven through
+        ``execute_batch`` directly, with no service around it)."""
         rng = np.random.default_rng(21)
         ops = []
         for _ in range(64):

@@ -1,13 +1,13 @@
 """Stateful property test: the block service front door against a flat model.
 
 Hypothesis drives one :class:`~repro.service.BlockService` — per-request
-(batch size 0), inline batches of one (1) or dispatcher-composed batches
-(4), over a TIP n=8 store with or without a write-back stripe cache —
-through random sequences of synchronous reads and writes, bursts of
-``enqueue``d requests awaited together, disk failures within the fault
-budget, repair drains and cache flushes. The model is a plain byte
+(batch size 0), inline batches of one (1) or batches carved from held
+requests (4), over a TIP n=8 store with or without a write-back stripe
+cache — through random sequences of synchronous reads and writes,
+bursts of ``enqueue``d requests awaited together, disk failures within
+the fault budget, repair drains and cache flushes. The model is a plain byte
 array: every read must return the model's bytes as they stood when the
-read was *submitted* (the dispatcher may reorder a burst, but never two
+read was *submitted* (a carved batch may reorder a burst, but never two
 requests sharing a stripe), and at teardown the closed, drained and
 flushed array must scrub clean and read back as the model.
 """

@@ -95,7 +95,7 @@ def _block_service(tmp_path, batch_size, cache_stripes=0):
 @pytest.mark.parametrize(
     "batch_size, cache_stripes",
     [(0, 0), (1, 0), (16, 0), (16, 4)],
-    ids=["combined", "batch-1", "dispatcher", "cached-batch-16"],
+    ids=["combined", "batch-1", "batched", "cached-batch-16"],
 )
 class TestBlockServiceClose:
     def test_requests_after_close_raise(self, tmp_path, batch_size, cache_stripes):
